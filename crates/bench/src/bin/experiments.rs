@@ -57,9 +57,8 @@
 //! cache hit rate, and the full exact-counter dump.
 //!
 //! `serve-bench` (not part of `all`) saturates the compile service —
-//! cold, warm, and kill-and-restart phases over one persistent store —
-//! and times the sharded cache against the single-lock baseline; with
-//! `--json FILE` it writes the snapshot committed as `BENCH_pr9.json`.
+//! cold, warm, and kill-and-restart phases over one persistent store;
+//! with `--json FILE` it writes the snapshot committed as `BENCH_pr9.json`.
 //!
 //! `serve-chaos` (not part of `all`) runs the service-layer fault
 //! sweep: corrupt store records, a crash between temp-write and rename,
@@ -698,25 +697,14 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(8);
-        println!("== Serve bench: saturation (cold/warm/restart) + shard compare ==");
+        println!("== Serve bench: saturation (cold/warm/restart) ==");
         let root = serve_root("bench");
         let sat = swp_serve::saturate(&m, clients, &root)
             .unwrap_or_else(|e| panic!("saturation bench: {e}"));
         let _ = std::fs::remove_dir_all(&root);
         print_saturation(&sat);
-        // Enough rounds that the all-hit path (where lock contention
-        // lives) dominates the one compile round.
-        let shards = swp_serve::shard_compare(&m, 8, 64);
-        println!(
-            "shard compare: {} threads x {} rounds — single-lock {}us, sharded {}us ({:.2}x)",
-            shards.threads,
-            shards.rounds,
-            shards.single_lock_us,
-            shards.sharded_us,
-            shards.speedup()
-        );
         if let Some(path) = json_path {
-            let json = serve_bench_json(&sat, &shards);
+            let json = serve_bench_json(&sat);
             swp_obs::parse_json(&json).expect("serve-bench serializer emits valid JSON");
             swp_serve::write_atomic(std::path::Path::new(path), json.as_bytes())
                 .unwrap_or_else(|e| panic!("writing serve snapshot to {path}: {e}"));
@@ -850,7 +838,7 @@ fn serve_stats_json(w: &mut swp_obs::JsonWriter, key: &str, s: &swp_serve::Serve
 }
 
 /// Render the `swp-serve-bench/1` snapshot committed as `BENCH_pr9.json`.
-fn serve_bench_json(sat: &swp_serve::SaturationReport, shards: &swp_serve::ShardCompare) -> String {
+fn serve_bench_json(sat: &swp_serve::SaturationReport) -> String {
     let mut w = swp_obs::JsonWriter::new();
     w.begin_object();
     w.key("schema").string("swp-serve-bench/1");
@@ -864,13 +852,6 @@ fn serve_bench_json(sat: &swp_serve::SaturationReport, shards: &swp_serve::Shard
     serve_stats_json(&mut w, "cold_stats", &sat.cold_stats);
     serve_stats_json(&mut w, "restart_stats", &sat.restart_stats);
     w.key("restart_disk_hit_rate").float(sat.restart_hit_rate());
-    w.end_object();
-    w.key("shard_compare").begin_object();
-    w.key("threads").uint(shards.threads as u64);
-    w.key("rounds").uint(shards.rounds as u64);
-    w.key("single_lock_us").uint(shards.single_lock_us);
-    w.key("sharded_us").uint(shards.sharded_us);
-    w.key("speedup").float(shards.speedup());
     w.end_object();
     w.end_object();
     w.finish()

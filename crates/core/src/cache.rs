@@ -43,6 +43,7 @@ use crate::compile::{
 };
 use crate::ladder::{ChaosFault, ChaosOptions, Corruption, LadderOptions};
 use crate::portfolio::PortfolioOptions;
+use crate::stage::deadline_hit;
 use swp_heur::HeurOptions;
 use swp_ir::{Loop, OptLevel};
 use swp_machine::{Machine, RegClass};
@@ -323,16 +324,6 @@ enum Slot {
     Ready(Result<Arc<CompiledLoop>, CompileError>),
 }
 
-/// One lock's worth of the table. The map and its condition variable
-/// travel together: a waiter blocked on `ready` always re-checks the
-/// `slots` guarded by the *same* shard, so notifications cannot be lost
-/// between shards.
-#[derive(Default)]
-struct Shard {
-    slots: Mutex<HashMap<u64, Slot>>,
-    ready: Condvar,
-}
-
 /// Unwind protection for the in-flight dedup protocol: the leader that
 /// inserted a `Pending` slot owes its waiters a wake-up. If the compile
 /// panics, this guard's `Drop` runs during unwind, removes the orphaned
@@ -340,7 +331,7 @@ struct Shard {
 /// the slot empty, and becomes the new leader instead of sleeping forever
 /// on a key nobody owns. Disarmed on the normal publish path.
 struct PendingGuard<'a> {
-    shard: &'a Shard,
+    cache: &'a ScheduleCache,
     key: u64,
     armed: bool,
 }
@@ -353,16 +344,16 @@ impl Drop for PendingGuard<'_> {
         // The compile runs outside the slot lock, so the lock cannot be
         // poisoned by the panic being unwound; `if let` keeps this drop
         // panic-free even if that invariant ever breaks.
-        if let Ok(mut slots) = self.shard.slots.lock() {
+        if let Ok(mut slots) = self.cache.slots.lock() {
             slots.remove(&self.key);
         }
-        self.shard.ready.notify_all();
+        self.cache.ready.notify_all();
     }
 }
 
 /// Whether a compile outcome was truncated by a wall-clock deadline and
 /// therefore depends on host load. Transient results must not be
-/// memoized: under PR 1's unconditional error memoization a timeout on a
+/// memoized: under unconditional error memoization a timeout on a
 /// loaded host would pin the failure for the whole process, flaking
 /// determinism tests whose budgets were generous enough on a quiet run.
 fn is_transient(result: &Result<Arc<CompiledLoop>, CompileError>) -> bool {
@@ -371,10 +362,7 @@ fn is_transient(result: &Result<Arc<CompiledLoop>, CompileError>) -> bool {
         // attempted, so a deadline-demoted (hence host-dependent) win on a
         // lower rung is covered by this same arm.
         Ok(c) => c.stats.deadline_hit,
-        Err(CompileError::Ilp(swp_most::MostError::NoSchedule { deadline_hit, .. })) => {
-            *deadline_hit
-        }
-        Err(CompileError::Sat(swp_sat::SatError::NoSchedule { deadline_hit, .. })) => *deadline_hit,
+        Err(e) if deadline_hit(e) => true,
         // A cancelled heuristic search (a losing portfolio racer, or a
         // caller-owned token) was truncated by something other than its
         // deterministic budgets — never memoize it.
@@ -406,56 +394,22 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe memo table from compile requests to compiled loops,
-/// sharded by key hash so concurrent requests for *different* keys never
-/// contend on one lock. Each shard is an independent map + condvar pair;
-/// the in-flight dedup protocol (Pending slots, leader/waiter wake-ups,
-/// panic recovery) runs entirely within a key's home shard.
+/// A thread-safe memo table from compile requests to compiled loops:
+/// one map under one lock, plus the condition variable in-flight waiters
+/// block on. A waiter always re-checks the map after a wake-up, so no
+/// notification is lost.
+#[derive(Default)]
 pub struct ScheduleCache {
-    shards: Box<[Shard]>,
+    slots: Mutex<HashMap<u64, Slot>>,
+    ready: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// Default shard count: enough to make lock collisions rare at the thread
-/// counts the `Driver` and the compile service run (8–32 workers), small
-/// enough that `len`/`clear` sweeps stay trivial.
-const DEFAULT_SHARDS: usize = 16;
-
-impl Default for ScheduleCache {
-    fn default() -> ScheduleCache {
-        ScheduleCache::with_shards(DEFAULT_SHARDS)
-    }
-}
-
 impl ScheduleCache {
-    /// An empty cache with the default shard count.
+    /// An empty cache.
     pub fn new() -> ScheduleCache {
         ScheduleCache::default()
-    }
-
-    /// An empty cache with an explicit shard count (clamped to at least
-    /// 1). `with_shards(1)` is the pre-sharding single-lock behavior —
-    /// benchmarks use it as the contention baseline.
-    pub fn with_shards(shards: usize) -> ScheduleCache {
-        ScheduleCache {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shards (for reports and tests).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The home shard of a key. The FNV key is already well mixed; fold
-    /// the high half in so shard choice and any power-of-two table
-    /// indexing inside the map never correlate.
-    fn shard_of(&self, key: u64) -> &Shard {
-        let mixed = key ^ (key >> 32);
-        &self.shards[(mixed % self.shards.len() as u64) as usize]
     }
 
     /// Compile `lp` with `choice`, or return the memoized result of an
@@ -499,9 +453,8 @@ impl ScheduleCache {
             .then(|| options.telemetry.install());
         let lookup = swp_obs::span("cache.lookup").with_s("loop", lp.name());
         let key = cache_key_with(lp, machine, options);
-        let shard = self.shard_of(key);
         {
-            let mut slots = shard.slots.lock().expect("cache lock");
+            let mut slots = self.slots.lock().expect("cache lock");
             loop {
                 match slots.get(&key) {
                     Some(Slot::Ready(r)) => {
@@ -511,7 +464,7 @@ impl ScheduleCache {
                     }
                     Some(Slot::Pending) => {
                         swp_obs::count(swp_obs::Counter::CacheInflightWaits, 1);
-                        slots = shard.ready.wait(slots).expect("cache lock");
+                        slots = self.ready.wait(slots).expect("cache lock");
                     }
                     None => {
                         slots.insert(key, Slot::Pending);
@@ -524,13 +477,13 @@ impl ScheduleCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         swp_obs::count(swp_obs::Counter::CacheMisses, 1);
         let mut guard = PendingGuard {
-            shard,
+            cache: self,
             key,
             armed: true,
         };
         let result = compile_loop_with(lp, machine, options).map(Arc::new);
         guard.armed = false;
-        let mut slots = shard.slots.lock().expect("cache lock");
+        let mut slots = self.slots.lock().expect("cache lock");
         if is_transient(&result) {
             // Deadline-truncated outcome: hand it to this caller but do
             // not memoize — drop the Pending slot so waiters (and future
@@ -540,7 +493,7 @@ impl ScheduleCache {
         } else {
             slots.insert(key, Slot::Ready(result.clone()));
         }
-        shard.ready.notify_all();
+        self.ready.notify_all();
         result
     }
 
@@ -550,42 +503,20 @@ impl ScheduleCache {
     /// chain) use this to decide whether the disk store even needs to be
     /// consulted; `None` covers both "absent" and "still in flight".
     pub fn peek(&self, key: u64) -> Option<Result<Arc<CompiledLoop>, CompileError>> {
-        match self
-            .shard_of(key)
-            .slots
-            .lock()
-            .expect("cache lock")
-            .get(&key)
-        {
+        match self.slots.lock().expect("cache lock").get(&key) {
             Some(Slot::Ready(r)) => Some(r.clone()),
             _ => None,
         }
     }
 
-    /// Whether an entry (ready or in flight) exists for this request.
-    pub fn contains(&self, lp: &Loop, machine: &Machine, choice: &SchedulerChoice) -> bool {
-        let key = cache_key(lp, machine, choice);
-        self.shard_of(key)
-            .slots
-            .lock()
-            .expect("cache lock")
-            .contains_key(&key)
-    }
-
     /// Memoized entries (ready only).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .slots
-                    .lock()
-                    .expect("cache lock")
-                    .values()
-                    .filter(|s| matches!(s, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.slots
+            .lock()
+            .expect("cache lock")
+            .values()
+            .filter(|s| matches!(s, Slot::Ready(_)))
+            .count()
     }
 
     /// Whether the cache holds no ready entries.
@@ -601,14 +532,13 @@ impl ScheduleCache {
         }
     }
 
-    /// Drop every memoized entry and zero the counters. Shards are
-    /// cleared one at a time; in-flight compiles keep their Pending slots
-    /// so their waiters still get woken.
+    /// Drop every memoized entry and zero the counters. In-flight
+    /// compiles keep their Pending slots so their waiters still get woken.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut slots = shard.slots.lock().expect("cache lock");
-            slots.retain(|_, s| matches!(s, Slot::Pending));
-        }
+        self.slots
+            .lock()
+            .expect("cache lock")
+            .retain(|_, s| matches!(s, Slot::Pending));
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -1159,45 +1089,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_are_configurable_and_behavior_matches_single_lock() {
+    fn clear_drops_every_entry_and_zeroes_the_counters() {
         let m = Machine::r8000();
-        assert_eq!(ScheduleCache::new().shard_count(), DEFAULT_SHARDS);
-        assert_eq!(ScheduleCache::with_shards(0).shard_count(), 1);
-        // Identical request sequences produce identical hit/miss totals
-        // and entry counts at any shard count, including the single-lock
-        // baseline.
-        let loops: Vec<Loop> = (0..6)
-            .map(|i| {
-                let mut b = LoopBuilder::new("shardy");
-                let x = b.array("x", 8);
-                let v = b.load(x, i, 8);
-                b.store(x, i + 64, 8, v);
-                b.finish()
-            })
-            .collect();
-        let run = |shards: usize| {
-            let cache = ScheduleCache::with_shards(shards);
-            for _ in 0..2 {
-                for lp in &loops {
-                    cache
-                        .get_or_compile(lp, &m, &SchedulerChoice::Heuristic)
-                        .expect("compiles");
-                }
-            }
-            (cache.stats(), cache.len())
-        };
-        let single = run(1);
-        for shards in [2, 16, 64] {
-            assert_eq!(run(shards), single, "{shards} shards");
-        }
-        assert_eq!(single.0, CacheStats { hits: 6, misses: 6 });
-        assert_eq!(single.1, 6);
-    }
-
-    #[test]
-    fn clear_works_across_shards() {
-        let m = Machine::r8000();
-        let cache = ScheduleCache::with_shards(4);
+        let cache = ScheduleCache::new();
         for i in 0..5 {
             let mut b = LoopBuilder::new("c");
             let x = b.array("x", 8);
@@ -1244,19 +1138,18 @@ mod tests {
         let cache = ScheduleCache::new();
         let lp = saxpy("s");
         let key = cache_key(&lp, &m, &SchedulerChoice::Heuristic);
-        let shard = cache.shard_of(key);
-        shard
+        cache
             .slots
             .lock()
             .expect("cache lock")
             .insert(key, Slot::Pending);
         drop(PendingGuard {
-            shard,
+            cache: &cache,
             key,
             armed: true,
         });
         assert!(
-            !shard.slots.lock().expect("cache lock").contains_key(&key),
+            !cache.slots.lock().expect("cache lock").contains_key(&key),
             "an armed guard must clear its Pending slot on drop"
         );
         // With the slot cleared, a fresh request compiles normally.
@@ -1309,7 +1202,6 @@ mod tests {
         let chaotic_key = cache_key(&lp, &m, &chaotic);
         assert!(
             !cache
-                .shard_of(chaotic_key)
                 .slots
                 .lock()
                 .expect("cache lock stays healthy")

@@ -2,6 +2,8 @@
 
 use crate::ladder::{compile_ladder, LadderOptions, Rung, RungAttempt};
 use crate::portfolio::{compile_portfolio, PortfolioOptions};
+use crate::stage::{finish, Backend};
+use std::borrow::Cow;
 use std::time::Instant;
 use swp_codegen::{list_schedule, BaselineLoop, PipelinedLoop};
 use swp_heur::{HeurOptions, PipelineError};
@@ -210,17 +212,35 @@ pub fn compile_loop(
     machine: &Machine,
     choice: &SchedulerChoice,
 ) -> Result<CompiledLoop, CompileError> {
-    match choice {
-        SchedulerChoice::Heuristic => compile_heur(lp, machine, &HeurOptions::default()),
-        SchedulerChoice::HeuristicWith(opts) => compile_heur(lp, machine, opts),
-        SchedulerChoice::Ilp => compile_ilp(lp, machine, &MostOptions::default()),
-        SchedulerChoice::IlpWith(opts) => compile_ilp(lp, machine, opts),
-        SchedulerChoice::Sat => compile_sat(lp, machine, &SatOptions::default()),
-        SchedulerChoice::SatWith(opts) => compile_sat(lp, machine, opts),
-        SchedulerChoice::Ladder => compile_ladder(lp, machine, &LadderOptions::default()),
-        SchedulerChoice::LadderWith(opts) => compile_ladder(lp, machine, opts),
-        SchedulerChoice::Portfolio => compile_portfolio(lp, machine, &PortfolioOptions::default()),
-        SchedulerChoice::PortfolioWith(opts) => compile_portfolio(lp, machine, opts),
+    match Plan::of(choice) {
+        Plan::Direct(backend) => backend.schedule(lp, machine).map(finish),
+        Plan::Ladder(opts) => compile_ladder(lp, machine, &opts),
+        Plan::Portfolio(opts) => compile_portfolio(lp, machine, &opts),
+    }
+}
+
+/// A [`SchedulerChoice`] with its defaults filled in: one backend, or a
+/// ladder or portfolio over several.
+enum Plan<'a> {
+    Direct(Backend),
+    Ladder(Cow<'a, LadderOptions>),
+    Portfolio(Cow<'a, PortfolioOptions>),
+}
+
+impl Plan<'_> {
+    fn of(choice: &SchedulerChoice) -> Plan<'_> {
+        match choice {
+            SchedulerChoice::Heuristic => Plan::Direct(Backend::Heuristic(HeurOptions::default())),
+            SchedulerChoice::HeuristicWith(o) => Plan::Direct(Backend::Heuristic(o.clone())),
+            SchedulerChoice::Ilp => Plan::Direct(Backend::Ilp(MostOptions::default())),
+            SchedulerChoice::IlpWith(o) => Plan::Direct(Backend::Ilp(o.clone())),
+            SchedulerChoice::Sat => Plan::Direct(Backend::Sat(SatOptions::default())),
+            SchedulerChoice::SatWith(o) => Plan::Direct(Backend::Sat(o.clone())),
+            SchedulerChoice::Ladder => Plan::Ladder(Cow::Owned(LadderOptions::default())),
+            SchedulerChoice::LadderWith(o) => Plan::Ladder(Cow::Borrowed(o)),
+            SchedulerChoice::Portfolio => Plan::Portfolio(Cow::Owned(PortfolioOptions::default())),
+            SchedulerChoice::PortfolioWith(o) => Plan::Portfolio(Cow::Borrowed(o)),
+        }
     }
 }
 
@@ -249,54 +269,41 @@ pub fn compile_loop_with(
     let _span = swp_obs::span("compile")
         .with_s("loop", lp.name())
         .with_i("ops", lp.len() as i64);
-    let result = compile_inner(lp, machine, options);
-    if options.telemetry.is_enabled() {
-        if let Ok(compiled) = &result {
-            observe_quality(compiled);
-        }
-    }
-    result
-}
-
-fn compile_inner(
-    lp: &Loop,
-    machine: &Machine,
-    options: &CompileOptions,
-) -> Result<CompiledLoop, CompileError> {
     // The mid-end pass pipeline runs in front of *every* scheduler
     // choice, ladder included: each rung then schedules the optimized
     // body, so demotion never discards the optimization work.
-    let staged = run_opt_stage(lp, machine, options);
+    let plan = Plan::of(&options.choice);
+    let staged = run_opt_stage(lp, machine, options, &plan);
     let lp = staged.lp.as_ref().unwrap_or(lp);
     // Ladder compiles carry their own per-rung verify gate; its report
     // (lints included) is authoritative and already attached, so a second
     // outer audit would only duplicate findings.
-    if matches!(
-        options.choice,
-        SchedulerChoice::Ladder | SchedulerChoice::LadderWith(_)
-    ) {
-        let mut compiled = compile_loop(lp, machine, &options.choice)?;
-        staged.record(&mut compiled);
-        return Ok(compiled);
-    }
-    let lints = if options.verify == VerifyLevel::Full {
+    let verify = match plan {
+        Plan::Ladder(_) => VerifyLevel::Off,
+        _ => options.verify,
+    };
+    let lints = if verify == VerifyLevel::Full {
         swp_verify::lint_findings(lp, machine)
     } else {
         Vec::new()
     };
     let mut compiled = compile_loop(lp, machine, &options.choice)?;
-    if options.verify != VerifyLevel::Off {
-        let mut report = swp_verify::audit(&compiled.code, machine, options.verify);
+    if verify != VerifyLevel::Off {
+        let mut report = swp_verify::audit(&compiled.code, machine, verify);
         report.findings.splice(0..0, lints);
         compiled.audit = Some(report);
     }
     staged.record(&mut compiled);
+    if options.telemetry.is_enabled() {
+        observe_quality(&compiled);
+    }
     Ok(compiled)
 }
 
 /// What the mid-end stage did to one compile: the optimized body (when
 /// any pass changed it), the passes that completed, and the pipeline's
 /// own `SWP-P0xx` findings mapped onto audit [`Finding`]s.
+#[derive(Default)]
 struct OptStage {
     lp: Option<Loop>,
     passes_run: Vec<&'static str>,
@@ -305,40 +312,26 @@ struct OptStage {
 }
 
 impl OptStage {
-    fn skipped() -> OptStage {
-        OptStage {
-            lp: None,
-            passes_run: Vec::new(),
-            truncated: false,
-            findings: Vec::new(),
-        }
-    }
-
     /// Fold the stage's bookkeeping into the finished compile.
     fn record(self, compiled: &mut CompiledLoop) {
         compiled.stats.opt_passes = self.passes_run;
-        if self.truncated {
-            // The deadline cut the pass pipeline short, so the emitted
-            // code depends on host load exactly like a truncated ILP
-            // search: mark the compile transient so the schedule cache
-            // never memoizes a partially-optimized result as if it were
-            // the full pipeline's output.
-            compiled.stats.deadline_hit = true;
-        }
-        if !self.findings.is_empty() {
-            if let Some(report) = &mut compiled.audit {
-                report.findings.splice(0..0, self.findings);
-            }
+        // A deadline that cut the pass pipeline short makes the emitted
+        // code depend on host load exactly like a truncated ILP search:
+        // mark the compile transient so the schedule cache never memoizes
+        // a partially-optimized result as if it were the full pipeline's.
+        compiled.stats.deadline_hit |= self.truncated;
+        if let Some(report) = &mut compiled.audit {
+            report.findings.splice(0..0, self.findings);
         }
     }
 }
 
 /// Run the [`PassManager`] over a clone of the input loop, under an
 /// `opt` telemetry span with per-pass application counters. Returns
-/// [`OptStage::skipped`] (and pays nothing) at [`OptLevel::Off`].
-fn run_opt_stage(lp: &Loop, machine: &Machine, options: &CompileOptions) -> OptStage {
+/// an empty [`OptStage`] (and pays nothing) at [`OptLevel::Off`].
+fn run_opt_stage(lp: &Loop, machine: &Machine, options: &CompileOptions, plan: &Plan) -> OptStage {
     if options.opt == OptLevel::Off || lp.is_empty() {
-        return OptStage::skipped();
+        return OptStage::default();
     }
     let _span = swp_obs::span("opt")
         .with_s("loop", lp.name())
@@ -348,7 +341,7 @@ fn run_opt_stage(lp: &Loop, machine: &Machine, options: &CompileOptions) -> OptS
     // mid-end has: zero tolerance, so any pass that is not a bit-identical
     // rewrite (given the sim's own eval semantics) is reverted.
     let validate = |a: &Loop, b: &Loop| swp_sim::check_loops_equivalent(a, b, 12, 0.0);
-    let mut pm = PassManager::new(options.opt).with_deadline(opt_deadline(&options.choice));
+    let mut pm = PassManager::new(options.opt).with_deadline(opt_deadline(plan));
     if options.verify != VerifyLevel::Off {
         pm = pm.with_validator(&validate);
     }
@@ -371,32 +364,15 @@ fn run_opt_stage(lp: &Loop, machine: &Machine, options: &CompileOptions) -> OptS
 /// optimization shares the loop's compile-time allowance rather than
 /// adding an unbounded stage in front of it. Heuristic compiles carry no
 /// wall budget, so their pipeline runs to fixpoint (it is bounded by the
-/// pass manager's round cap anyway).
-fn opt_deadline(choice: &SchedulerChoice) -> Option<Instant> {
-    let budget = match choice {
-        SchedulerChoice::Heuristic | SchedulerChoice::HeuristicWith(_) => None,
-        SchedulerChoice::Ilp => {
-            let d = MostOptions::default();
-            d.loop_time_limit.or(d.time_limit)
-        }
-        SchedulerChoice::IlpWith(opts) => opts.loop_time_limit.or(opts.time_limit),
-        SchedulerChoice::Sat => {
-            let d = SatOptions::default();
-            d.loop_time_limit.or(d.time_limit)
-        }
-        SchedulerChoice::SatWith(opts) => opts.loop_time_limit.or(opts.time_limit),
-        SchedulerChoice::Ladder => {
-            let d = LadderOptions::default();
-            d.most.loop_time_limit.or(d.most.time_limit)
-        }
-        SchedulerChoice::LadderWith(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
-        // The portfolio's wall budget is its highest-priority racer's:
-        // ILP is never cancelled, so its allowance bounds the race.
-        SchedulerChoice::Portfolio => {
-            let d = PortfolioOptions::default();
-            d.most.loop_time_limit.or(d.most.time_limit)
-        }
-        SchedulerChoice::PortfolioWith(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
+/// pass manager's round cap anyway). A ladder's or portfolio's budget is
+/// its ILP stage's: ILP is never cancelled, so its allowance bounds both.
+fn opt_deadline(plan: &Plan) -> Option<Instant> {
+    let budget = match plan {
+        Plan::Direct(Backend::Ilp(o)) => o.loop_time_limit.or(o.time_limit),
+        Plan::Direct(Backend::Sat(o)) => o.loop_time_limit.or(o.time_limit),
+        Plan::Direct(_) => None,
+        Plan::Ladder(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
+        Plan::Portfolio(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
     };
     budget.map(|d| Instant::now() + d)
 }
@@ -443,111 +419,6 @@ fn observe_quality(compiled: &CompiledLoop) {
         .saturating_add(stats.alloc_ns)
         .saturating_add(stats.expand_ns);
     observe(Histo::CompileTimeUs, total_ns / 1_000);
-}
-
-pub(crate) fn compile_heur(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &HeurOptions,
-) -> Result<CompiledLoop, CompileError> {
-    let (pipelined, pipeline_ns) =
-        swp_obs::timed_ns("sched.heur", || swp_heur::pipeline(lp, machine, opts));
-    let p = pipelined.map_err(CompileError::Heuristic)?;
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(&p.body, &p.schedule, &p.allocation)
-    });
-    Ok(CompiledLoop {
-        code,
-        stats: CompileStats {
-            min_ii: p.stats.min_ii,
-            ii: p.schedule.ii(),
-            fell_back: false,
-            optimal: false,
-            search_effort: u64::from(p.stats.backtracks),
-            pivots: 0,
-            deadline_hit: false,
-            opt_passes: Vec::new(),
-            spills: p.stats.spills,
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns: pipeline_ns.saturating_sub(p.stats.alloc_ns),
-            alloc_ns: p.stats.alloc_ns,
-            expand_ns,
-        },
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    })
-}
-
-pub(crate) fn compile_ilp(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &MostOptions,
-) -> Result<CompiledLoop, CompileError> {
-    let (pipelined, pipeline_ns) =
-        swp_obs::timed_ns("sched.ilp", || swp_most::pipeline_most(lp, machine, opts));
-    let p = pipelined.map_err(CompileError::Ilp)?;
-    if let Some(buffers) = p.stats.buffers {
-        swp_obs::observe(swp_obs::Histo::Buffers, u64::from(buffers));
-    }
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(&p.body, &p.schedule, &p.allocation)
-    });
-    Ok(CompiledLoop {
-        code,
-        stats: CompileStats {
-            min_ii: p.stats.min_ii,
-            ii: p.schedule.ii(),
-            fell_back: p.stats.fell_back,
-            optimal: p.stats.optimal_ii,
-            search_effort: p.stats.nodes,
-            pivots: p.stats.pivots,
-            deadline_hit: p.stats.deadline_hit,
-            opt_passes: Vec::new(),
-            spills: 0,
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns: pipeline_ns.saturating_sub(p.stats.alloc_ns),
-            alloc_ns: p.stats.alloc_ns,
-            expand_ns,
-        },
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    })
-}
-
-pub(crate) fn compile_sat(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &SatOptions,
-) -> Result<CompiledLoop, CompileError> {
-    let (pipelined, pipeline_ns) =
-        swp_obs::timed_ns("sched.sat", || swp_sat::pipeline_sat(lp, machine, opts));
-    let p = pipelined.map_err(CompileError::Sat)?;
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(&p.body, &p.schedule, &p.allocation)
-    });
-    Ok(CompiledLoop {
-        code,
-        stats: CompileStats {
-            min_ii: p.stats.min_ii,
-            ii: p.schedule.ii(),
-            fell_back: p.stats.fell_back,
-            optimal: p.stats.optimal_ii,
-            search_effort: p.stats.conflicts,
-            pivots: p.stats.propagations,
-            deadline_hit: p.stats.deadline_hit,
-            opt_passes: Vec::new(),
-            spills: 0,
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns: pipeline_ns.saturating_sub(p.stats.alloc_ns),
-            alloc_ns: p.stats.alloc_ns,
-            expand_ns,
-        },
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    })
 }
 
 /// Build the non-pipelined baseline (software pipelining "disabled",

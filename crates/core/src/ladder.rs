@@ -1,61 +1,27 @@
 //! The total-compilation degradation ladder.
 //!
-//! The paper's central production constraint is that the compiler must
-//! *always* ship a schedule (§4: MOST runs under a time limit with the
-//! heuristic pipeliner as fallback). This module generalizes that single
-//! `fallback: bool` into an ordered ladder of increasingly conservative
-//! schedulers:
-//!
-//! | rung | scheduler                          | failure mode it absorbs            |
-//! |------|------------------------------------|------------------------------------|
-//! | 0    | MOST ILP (no internal fallback)    | budget/deadline exhaustion         |
-//! | 1    | CDCL SAT (no internal fallback)    | ILP-shaped intractability          |
-//! | 2    | heuristic modulo scheduler         | optimal-search intractability      |
-//! | 3    | heuristic, escalated budgets       | backtrack-starved or MaxII-bound   |
-//! | 4    | non-pipelined list schedule        | — (total on any lint-clean loop)   |
-//!
-//! The SAT rung sits between ILP and the heuristic because it searches
-//! the same horizon with the same optimality guarantee but a different
-//! search engine: conflicts that starve branch-and-bound (fractional LP
-//! relaxations, deep pivot chains) are sometimes dispatched in a handful
-//! of learned clauses, so a loop the ILP budget cannot crack may still
-//! get an optimal schedule before the ladder concedes rate-optimality.
-//!
-//! Rung 4 views the §4.1 list schedule as a degenerate modulo schedule
-//! whose II is the full sequential iteration length. At that II every
-//! loop-carried dependence is slack by construction (`t(to) ≥ t(from) +
-//! latency − distance·II` holds because `distance·II` covers the whole
-//! makespan) and the modulo reservation table equals the plain one, so a
-//! lint-clean loop can always be compiled — the ladder is *total*.
-//!
-//! Two containment mechanisms wrap every rung:
-//!
-//! - **Panic isolation**: each rung runs under `catch_unwind`. A panic
-//!   becomes a structured [`RungOutcome::Panicked`] entry in the attempt
-//!   trace and the ladder demotes; it never unwinds into the driver pool.
-//! - **Verify gate**: each rung's artifact passes through the
-//!   `swp-verify` auditors ([`LadderOptions::gate`] level). An
-//!   error-severity finding rejects the rung's schedule
-//!   ([`RungOutcome::GateRejected`]) and demotes — PR 2's translation
-//!   validation acting as a self-checking compiler rather than a report.
-//!
-//! [`ChaosOptions`] injects deterministic faults (forced panics, forced
-//! budget exhaustion, schedule corruption reusing the `tests/audit.rs`
-//! fault classes) at chosen rungs so the containment claims are
-//! *demonstrated*, not assumed; `experiments chaos -D` denies on any
-//! injected fault escaping its rung.
+//! The compiler must *always* ship a schedule (§4: MOST runs under a time
+//! limit with the heuristic pipeliner as fallback). The ladder generalizes
+//! that fallback into five rungs, run by the stage runner in sequential
+//! mode: MOST ILP, CDCL SAT (both with internal fallback off), the
+//! heuristic, the heuristic at escalated budgets, and the non-pipelined
+//! list schedule. The last rung is the §4.1 list schedule viewed as a
+//! modulo schedule at II = iteration length, where every loop-carried
+//! dependence is slack, so any lint-clean loop compiles: the ladder is
+//! *total*. Every rung runs under panic isolation and every schedule
+//! passes the `swp-verify` gate before it ships; [`ChaosOptions`] injects
+//! faults to demonstrate both, and `experiments chaos -D` denies on any
+//! that escapes its rung.
 
-use crate::compile::{
-    compile_heur, compile_ilp, compile_sat, CompileError, CompileStats, CompiledLoop,
-};
-use swp_codegen::{list_schedule, CodeSection, PipelinedLoop};
+use crate::compile::{CompileError, CompiledLoop};
+use crate::stage::{self, Backend, Mode};
+use swp_codegen::{CodeSection, PipelinedLoop};
 use swp_heur::HeurOptions;
-use swp_ir::{Ddg, Loop, Schedule};
+use swp_ir::{Loop, Schedule};
 use swp_machine::Machine;
-use swp_most::{MostError, MostOptions};
-use swp_regalloc::{allocate, AllocOutcome};
-use swp_sat::{SatError, SatOptions};
-use swp_verify::{Severity, VerifyLevel};
+use swp_most::MostOptions;
+use swp_sat::SatOptions;
+use swp_verify::VerifyLevel;
 
 /// One rung of the degradation ladder, most aggressive first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,13 +53,7 @@ impl Rung {
 
     /// Ladder position (0 = most aggressive).
     pub fn index(self) -> usize {
-        match self {
-            Rung::Ilp => 0,
-            Rung::Sat => 1,
-            Rung::Heuristic => 2,
-            Rung::Escalated => 3,
-            Rung::Sequential => 4,
-        }
+        self as usize
     }
 
     /// Stable lowercase name for tables and JSON.
@@ -167,11 +127,6 @@ impl ChaosOptions {
         self.faults[rung.index()] = Some(fault);
         self
     }
-
-    /// Whether this plan injects nothing at all.
-    pub fn is_quiet(&self) -> bool {
-        self.faults.iter().all(Option::is_none) && !self.panic_in_flight
-    }
 }
 
 /// Configuration of the whole ladder.
@@ -223,8 +178,7 @@ impl LadderOptions {
     /// much tighter deterministic pivot leash; level 2+ skips straight to
     /// the heuristic rung with a reduced backtrack budget and fewer
     /// escalation rounds. Every level still ends at the sequential rung,
-    /// so a demoted request always gets *an* answer — the PR 4 totality
-    /// guarantee extended to the service boundary.
+    /// so a demoted request always gets *an* answer.
     pub fn demoted(&self, level: u32) -> LadderOptions {
         let mut opts = self.clone();
         match level {
@@ -356,17 +310,6 @@ pub fn render_attempts(attempts: &[RungAttempt]) -> String {
         .join("\n")
 }
 
-/// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// Chaos runs and panic-isolation tests inject panics on purpose, and
 /// every injected payload is prefixed `"chaos:"` (harness tests also
 /// use `"expected:"`). This installs a process-wide panic hook that
@@ -378,31 +321,20 @@ pub fn hush_injected_panics() {
     HOOK.call_once(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let message = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied());
-            let injected =
-                message.is_some_and(|m| m.starts_with("chaos:") || m.starts_with("expected:"));
-            if !injected {
+            let message = stage::panic_message(info.payload());
+            if !(message.starts_with("chaos:") || message.starts_with("expected:")) {
                 default(info);
             }
         }));
     });
 }
 
-/// What one rung produced before the gate.
-enum RungResult {
-    Scheduled(Box<CompiledLoop>),
-    Failed { message: String, deadline_hit: bool },
-}
-
-/// Compile `lp` down the degradation ladder: try each rung in order under
-/// panic isolation, gate every produced schedule through the `swp-verify`
-/// auditors, and ship the first one that passes. The result's
-/// [`CompiledLoop::rung`] names the winning rung and
-/// [`CompiledLoop::attempts`] traces every demotion that led there.
+/// Compile `lp` down the degradation ladder: try each rung from
+/// [`LadderOptions::start_rung`] down under panic isolation, gate every
+/// produced schedule through the `swp-verify` auditors, and ship the
+/// first one that passes. The result's [`CompiledLoop::rung`] names the
+/// winning rung and [`CompiledLoop::attempts`] traces every demotion
+/// that led there.
 ///
 /// # Errors
 ///
@@ -419,263 +351,24 @@ pub fn compile_ladder(
     machine: &Machine,
     opts: &LadderOptions,
 ) -> Result<CompiledLoop, CompileError> {
-    assert!(
-        !opts.chaos.panic_in_flight,
-        "chaos: injected in-flight panic (outside rung isolation)"
-    );
-    // Lint once, up front. Error lints mean the input itself is invalid:
-    // no rung's output could pass a gate that includes them, so record a
-    // single rejection instead of burning five rungs' budgets.
-    let lints = if opts.gate == VerifyLevel::Full {
-        swp_verify::lint_findings(lp, machine)
-    } else {
-        Vec::new()
-    };
-    let lint_errors = lints
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .count();
-    if lint_errors > 0 {
-        return Err(CompileError::LadderExhausted {
-            attempts: vec![RungAttempt {
-                rung: opts.start_rung,
-                outcome: RungOutcome::LintRejected {
-                    errors: lint_errors,
-                },
-                injected: None,
-                deadline_hit: false,
-            }],
-        });
-    }
-
-    let mut attempts: Vec<RungAttempt> = Vec::new();
-    for rung in Rung::ALL
+    let stages = Rung::ALL
         .into_iter()
-        .filter(|r| r.index() >= opts.start_rung.index())
-    {
-        let fault = opts.chaos.fault_at(rung);
-        let rung_span = swp_obs::span("ladder.rung").with_s("rung", rung.name());
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            attempt_rung(lp, machine, opts, rung, fault)
-        }));
-        let (outcome, injected, deadline_hit, compiled) = match run {
-            Err(payload) => (
-                RungOutcome::Panicked(panic_message(payload.as_ref())),
-                fault,
-                false,
-                None,
-            ),
-            Ok(RungResult::Failed {
-                message,
-                deadline_hit,
-            }) => {
-                // A planned corruption never applied to a failed rung.
-                let injected = match fault {
-                    Some(ChaosFault::Corrupt(_)) => None,
-                    f => f,
-                };
-                (
-                    RungOutcome::SchedulerFailed(message),
-                    injected,
-                    deadline_hit,
-                    None,
-                )
-            }
-            Ok(RungResult::Scheduled(compiled)) => {
-                let mut report = swp_verify::audit(&compiled.code, machine, opts.gate);
-                report.findings.splice(0..0, lints.clone());
-                match report.gate() {
-                    Ok(()) => (
-                        RungOutcome::Accepted,
-                        fault,
-                        compiled.stats.deadline_hit,
-                        Some((compiled, report)),
-                    ),
-                    Err(errors) => (
-                        RungOutcome::GateRejected { errors },
-                        fault,
-                        compiled.stats.deadline_hit,
-                        None,
-                    ),
-                }
-            }
-        };
-        drop(rung_span);
-        let attempt = RungAttempt {
-            rung,
-            outcome,
-            injected,
-            deadline_hit,
-        };
-        flush_attempt(&attempt, compiled.is_some());
-        attempts.push(attempt);
-        if let Some((compiled, report)) = compiled {
-            let mut compiled = *compiled;
-            // Any deadline-truncated attempt (even a failed earlier rung)
-            // made *which rung won* host-dependent; taint the result so
-            // the cache refuses to memoize it.
-            compiled.stats.deadline_hit = attempts.iter().any(|a| a.deadline_hit);
-            compiled.audit = Some(report);
-            compiled.rung = Some(rung);
-            compiled.attempts = attempts;
-            return Ok(compiled);
-        }
-    }
-    Err(CompileError::LadderExhausted { attempts })
-}
-
-/// Flush one rung attempt's telemetry: what the rung did, whether chaos
-/// was involved, and whether the ladder demoted past it. An attempt that
-/// did not produce accepted code counts as a demotion — including a
-/// rejected final rung, which "demotes" into ladder exhaustion.
-fn flush_attempt(attempt: &RungAttempt, accepted: bool) {
-    use swp_obs::{count, Counter};
-    match &attempt.outcome {
-        RungOutcome::Panicked(_) => count(Counter::LadderPanicsCaught, 1),
-        RungOutcome::GateRejected { .. } => count(Counter::LadderGateRejections, 1),
-        _ => {}
-    }
-    if !accepted {
-        count(Counter::LadderDemotions, 1);
-    }
-    if attempt.injected.is_some() {
-        count(Counter::LadderChaosInjected, 1);
-    }
-    if attempt.escaped() {
-        count(Counter::LadderChaosEscapes, 1);
-    }
-}
-
-/// Run one rung's scheduler (with chaos injection) and hand back either a
-/// compiled-but-ungated artifact or a structured failure. Called inside
-/// `catch_unwind`; panics here are the ladder's to absorb.
-fn attempt_rung(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &LadderOptions,
-    rung: Rung,
-    fault: Option<ChaosFault>,
-) -> RungResult {
-    match fault {
-        Some(ChaosFault::Panic) => panic!("chaos: injected panic at {rung}"),
-        Some(ChaosFault::Exhaust) => {
-            return RungResult::Failed {
-                message: format!("chaos: injected budget exhaustion at {rung}"),
-                deadline_hit: false,
-            };
-        }
-        _ => {}
-    }
-    let result = match rung {
-        Rung::Ilp => compile_ilp(lp, machine, &opts.most.without_fallback()),
-        Rung::Sat => compile_sat(lp, machine, &opts.sat.without_fallback()),
-        Rung::Heuristic => compile_heur(lp, machine, &opts.heur),
-        Rung::Escalated => {
-            let mut last = None;
-            for round in 1..=opts.escalation_rounds.max(1) {
-                match compile_heur(lp, machine, &opts.heur.escalated(round)) {
-                    Ok(c) => {
-                        last = Some(Ok(c));
-                        break;
-                    }
-                    Err(e) => last = Some(Err(e)),
-                }
-            }
-            last.expect("at least one escalation round runs")
-        }
-        Rung::Sequential => compile_sequential(lp, machine),
-    };
-    match result {
-        Ok(mut compiled) => {
-            if let Some(ChaosFault::Corrupt(how)) = fault {
-                compiled.code = corrupt(&compiled.code, how);
-            }
-            RungResult::Scheduled(Box::new(compiled))
-        }
-        Err(e) => {
-            let deadline_hit = matches!(
-                &e,
-                CompileError::Ilp(MostError::NoSchedule {
-                    deadline_hit: true,
-                    ..
-                }) | CompileError::Sat(SatError::NoSchedule {
-                    deadline_hit: true,
-                    ..
-                })
-            );
-            RungResult::Failed {
-                message: e.to_string(),
-                deadline_hit,
-            }
-        }
-    }
-}
-
-/// Rung 3: the §4.1 list schedule, expanded through the *same* artifact
-/// pipeline as the pipelining rungs. With II = sequential iteration
-/// length every op sits in stage 0, so the "pipelined" loop degenerates
-/// to an empty prologue/epilogue around a one-iteration kernel — but it
-/// is a bona fide [`PipelinedLoop`] the auditors can certify and the
-/// simulator can run, which is what makes the gate meaningful on the
-/// final rung too.
-fn compile_sequential(lp: &Loop, machine: &Machine) -> Result<CompiledLoop, CompileError> {
-    if lp.is_empty() {
-        return Err(CompileError::Heuristic(swp_heur::PipelineError::EmptyLoop));
-    }
-    let t0 = std::time::Instant::now();
-    let ddg = Ddg::build(lp, machine);
-    let base = list_schedule(lp, &ddg, machine);
-    let schedule = base.as_schedule();
-    let sched_ns = elapsed_ns(t0);
-    let (outcome, alloc_ns) =
-        swp_obs::timed_ns("regalloc.attempt", || allocate(lp, &schedule, machine));
-    let allocation = match outcome {
-        AllocOutcome::Allocated(a) => a,
-        AllocOutcome::Failed { .. } => {
-            // Unreachable for machine-sized loops (one non-overlapped
-            // iteration has minimal pressure), but a structured error
-            // beats a panic if a generated loop ever proves otherwise.
-            return Err(CompileError::Internal {
-                rung: Some(Rung::Sequential),
-                message: "sequential rung: register allocation failed".to_owned(),
-            });
-        }
-    };
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(lp, &schedule, &allocation)
-    });
-    Ok(CompiledLoop {
-        stats: CompileStats {
-            min_ii: ddg.min_ii(),
-            ii: code.ii(),
-            fell_back: false,
-            optimal: false,
-            search_effort: 0,
-            pivots: 0,
-            deadline_hit: false,
-            opt_passes: Vec::new(),
-            spills: 0,
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns,
-            alloc_ns,
-            expand_ns,
-        },
-        code,
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    })
-}
-
-fn elapsed_ns(t: std::time::Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        .filter(|&rung| rung >= opts.start_rung)
+        .map(|r| {
+            (
+                r,
+                Backend::at(r, &opts.most, &opts.sat, &opts.heur, opts.escalation_rounds),
+            )
+        })
+        .collect();
+    stage::run(lp, machine, stages, Mode::Sequential(opts))
 }
 
 /// Apply one deterministic corruption to a compiled artifact. Each class
 /// is constructed to be *provably* wrong (cycle −1, register 999, a
 /// kernel op off its row), so a gate that fails to reject it has
 /// regressed — which is exactly what the chaos harness exists to catch.
-fn corrupt(code: &PipelinedLoop, how: Corruption) -> PipelinedLoop {
+pub(crate) fn corrupt(code: &PipelinedLoop, how: Corruption) -> PipelinedLoop {
     match how {
         Corruption::NegativeTime => {
             let s = code.schedule();

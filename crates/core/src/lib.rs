@@ -58,6 +58,7 @@ mod compile;
 mod ladder;
 mod par;
 mod portfolio;
+mod stage;
 mod suite;
 
 pub use cache::{cache_key, cache_key_with, CacheStats, ScheduleCache};

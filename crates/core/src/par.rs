@@ -23,7 +23,7 @@ use crate::cache::{CacheStats, ScheduleCache};
 use crate::compile::{
     compile_loop, compile_loop_with, CompileError, CompileOptions, CompiledLoop, SchedulerChoice,
 };
-use crate::ladder::panic_message;
+use crate::stage::{catch, panic_message};
 use swp_ir::Loop;
 use swp_machine::Machine;
 
@@ -303,13 +303,12 @@ fn catch_internal<F>(f: F) -> Result<Arc<CompiledLoop>, CompileError>
 where
     F: FnOnce() -> Result<Arc<CompiledLoop>, CompileError>,
 {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(payload) => Err(CompileError::Internal {
+    catch(f).unwrap_or_else(|message| {
+        Err(CompileError::Internal {
             rung: None,
-            message: panic_message(payload.as_ref()),
-        }),
-    }
+            message,
+        })
+    })
 }
 
 /// Pop from our own front, else steal from a sibling's back.

@@ -1,40 +1,18 @@
-//! Portfolio racing: run the backends concurrently, ship the best.
-//!
-//! The paper's production tension is optimal-but-slow (MOST) versus
-//! fast-but-heuristic (§2); the ladder resolves it *sequentially* by
-//! demotion. The portfolio resolves it in *wall-clock* terms: every
-//! enabled backend races on its own scoped thread, and as soon as a
-//! backend succeeds, every **strictly lower-priority** racer is
-//! cooperatively cancelled — their results can no longer matter.
-//!
-//! Determinism is the load-bearing property. The winner is chosen by
-//! fixed backend priority (ILP > SAT > heuristic) **at join**, never by
-//! completion order, and a backend may only be cancelled once a
-//! higher-priority backend has already succeeded — at which point its own
-//! outcome is irrelevant to both the winner and the all-fail error. ILP,
-//! the highest priority, is never cancelled at all. Consequently the
-//! shipped code is bit-identical across hosts, driver thread counts, and
-//! scheduling jitter (up to the backends' own wall-clock budgets, which
-//! taint results via `deadline_hit` exactly as in direct compiles).
-//!
-//! Racer threads are fresh scoped threads and therefore carry **no**
-//! thread-local telemetry collector: losers record nothing, so counters
-//! cannot leak nondeterministic work measures. The calling thread records
-//! the race-level counters (`portfolio.races`, `portfolio.winner.*`,
-//! `portfolio.cancellations`) and expands the winning schedule itself.
+//! Portfolio racing: the ladder's first three rungs (ILP > SAT >
+//! heuristic), run by the stage runner in race mode. The winner is picked
+//! by fixed rank at join and a racer is only cancelled once a
+//! higher-ranked one has succeeded, so the shipped code is bit-identical
+//! across hosts and thread counts, up to the backends' own wall-clock
+//! budgets, which taint results via `deadline_hit` as in direct compiles.
 
-use crate::compile::{CompileError, CompileStats, CompiledLoop};
+use crate::compile::{CompileError, CompiledLoop};
 use crate::ladder::Rung;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
-use std::time::Instant;
-use swp_codegen::PipelinedLoop;
+use crate::stage::{self, Backend, Mode, Stages};
 use swp_heur::HeurOptions;
 use swp_ir::Loop;
 use swp_machine::Machine;
-use swp_most::{MostError, MostOptions};
-use swp_obs::CancelToken;
-use swp_sat::{SatError, SatOptions};
+use swp_most::MostOptions;
+use swp_sat::SatOptions;
 
 /// Configuration of one portfolio race.
 ///
@@ -72,39 +50,6 @@ impl Default for PortfolioOptions {
     }
 }
 
-/// A racing backend, in priority order (lower index wins ties at join).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Ilp,
-    Sat,
-    Heur,
-}
-
-impl Backend {
-    fn rung(self) -> Rung {
-        match self {
-            Backend::Ilp => Rung::Ilp,
-            Backend::Sat => Rung::Sat,
-            Backend::Heur => Rung::Heuristic,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        self.rung().name()
-    }
-}
-
-/// A racer's successful product, still in backend-native form; the
-/// calling thread expands only the winner.
-enum RacerOk {
-    Ilp(Box<swp_most::MostPipelined>),
-    Sat(Box<swp_sat::SatPipelined>),
-    Heur(Box<swp_heur::Pipelined>),
-}
-
-/// What one racer produced, plus its scheduling wall time.
-type RacerResult = (Result<RacerOk, CompileError>, u64);
-
 /// Race the enabled backends and ship the highest-priority success.
 ///
 /// # Errors
@@ -118,217 +63,22 @@ pub fn compile_portfolio(
     machine: &Machine,
     opts: &PortfolioOptions,
 ) -> Result<CompiledLoop, CompileError> {
-    let backends: Vec<Backend> = [
-        (opts.use_ilp, Backend::Ilp),
-        (opts.use_sat, Backend::Sat),
-        (opts.use_heur, Backend::Heur),
+    let stages: Stages = [
+        (opts.use_ilp, Rung::Ilp),
+        (opts.use_sat, Rung::Sat),
+        (opts.use_heur, Rung::Heuristic),
     ]
     .into_iter()
-    .filter_map(|(on, b)| on.then_some(b))
+    .filter(|&(on, _)| on)
+    .map(|(_, r)| (r, Backend::at(r, &opts.most, &opts.sat, &opts.heur, 0)))
     .collect();
-    if backends.is_empty() {
+    if stages.is_empty() {
         return Err(CompileError::Internal {
             rung: None,
             message: "portfolio: no backends enabled".to_owned(),
         });
     }
-    swp_obs::count(swp_obs::Counter::PortfolioRaces, 1);
-    let _span = swp_obs::span("portfolio")
-        .with_s("loop", lp.name())
-        .with_i("backends", backends.len() as i64);
-
-    let tokens: Vec<CancelToken> = backends.iter().map(|_| CancelToken::new()).collect();
-    let slots: Vec<Mutex<Option<RacerResult>>> =
-        backends.iter().map(|_| Mutex::new(None)).collect();
-    let mut cancellations = 0u64;
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, bool)>();
-        for (i, &backend) in backends.iter().enumerate() {
-            let tx = tx.clone();
-            let token = tokens[i].clone();
-            let slots = &slots;
-            s.spawn(move || {
-                let t0 = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_backend(lp, machine, opts, backend, token)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(CompileError::Internal {
-                        rung: Some(backend.rung()),
-                        message: crate::ladder::panic_message(payload.as_ref()),
-                    })
-                });
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let ok = result.is_ok();
-                *slots[i].lock().expect("racer slot lock") = Some((result, ns));
-                // The scope owns the receiver's lifetime; a racer outliving
-                // it is impossible, so a send failure is, too.
-                let _ = tx.send((i, ok));
-            });
-        }
-        drop(tx);
-        // As success notifications arrive, cancel every racer that can no
-        // longer win. Completion *order* only affects how early losers
-        // stop burning cycles — never which backend wins.
-        let mut cancelled = vec![false; backends.len()];
-        while let Ok((i, ok)) = rx.recv() {
-            if !ok {
-                continue;
-            }
-            for (j, c) in cancelled.iter_mut().enumerate().skip(i + 1) {
-                if !*c {
-                    *c = true;
-                    tokens[j].cancel();
-                    cancellations += 1;
-                }
-            }
-        }
-    });
-    swp_obs::count(swp_obs::Counter::PortfolioCancellations, cancellations);
-
-    let results: Vec<RacerResult> = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("racer slot lock")
-                .expect("scope joined, so every racer reported")
-        })
-        .collect();
-    let winner = results.iter().position(|(r, _)| r.is_ok());
-    let Some(w) = winner else {
-        // All failed ⇒ nothing was ever cancelled ⇒ every error is as
-        // deterministic as its backend; report the highest-priority one.
-        let (err, _) = results.into_iter().next().expect("non-empty portfolio");
-        let Err(err) = err else {
-            unreachable!("no winner, so every racer failed");
-        };
-        return Err(err);
-    };
-    // A deadline-truncated failure *above* the winner makes which backend
-    // won host-dependent; taint the result so the cache skips it (losers
-    // below the winner were cancelled or outranked — irrelevant).
-    let outranked_by_deadline = results[..w].iter().any(|(r, _)| match r {
-        Err(CompileError::Ilp(MostError::NoSchedule { deadline_hit, .. }))
-        | Err(CompileError::Sat(SatError::NoSchedule { deadline_hit, .. })) => *deadline_hit,
-        _ => false,
-    });
-    let backend = backends[w];
-    let (result, sched_wall_ns) = results.into_iter().nth(w).expect("winner index in range");
-    let won = result.expect("winner is Ok");
-    swp_obs::count(
-        match backend {
-            Backend::Ilp => swp_obs::Counter::PortfolioWinnerIlp,
-            Backend::Sat => swp_obs::Counter::PortfolioWinnerSat,
-            Backend::Heur => swp_obs::Counter::PortfolioWinnerHeuristic,
-        },
-        1,
-    );
-    let winner_span = swp_obs::span("portfolio.winner").with_s("backend", backend.name());
-    let mut compiled = expand_winner(won, sched_wall_ns);
-    drop(winner_span);
-    compiled.stats.deadline_hit |= outranked_by_deadline;
-    compiled.rung = Some(backend.rung());
-    Ok(compiled)
-}
-
-/// Run one backend with the race's cancellation discipline: ILP keeps
-/// the caller's token (it is never cancelled by the race), SAT and the
-/// heuristic get the racer token. Internal fallbacks are off — the
-/// heuristic racer *is* the fallback, running concurrently.
-fn run_backend(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &PortfolioOptions,
-    backend: Backend,
-    token: CancelToken,
-) -> Result<RacerOk, CompileError> {
-    match backend {
-        Backend::Ilp => swp_most::pipeline_most(lp, machine, &opts.most.without_fallback())
-            .map(|p| RacerOk::Ilp(Box::new(p)))
-            .map_err(CompileError::Ilp),
-        Backend::Sat => {
-            let sat_opts = SatOptions {
-                cancel: token,
-                ..opts.sat.without_fallback()
-            };
-            swp_sat::pipeline_sat(lp, machine, &sat_opts)
-                .map(|p| RacerOk::Sat(Box::new(p)))
-                .map_err(CompileError::Sat)
-        }
-        Backend::Heur => {
-            let heur_opts = HeurOptions {
-                cancel: token,
-                ..opts.heur.clone()
-            };
-            swp_heur::pipeline(lp, machine, &heur_opts)
-                .map(|p| RacerOk::Heur(Box::new(p)))
-                .map_err(CompileError::Heuristic)
-        }
-    }
-}
-
-/// Expand the winning racer's schedule on the calling thread (which has
-/// the telemetry collector) and assemble the compile result. The racer
-/// measured its own scheduling wall time; allocation time is separated
-/// out of it the same way the direct compile paths do.
-fn expand_winner(won: RacerOk, sched_wall_ns: u64) -> CompiledLoop {
-    let (body, schedule, allocation, stats) = match won {
-        RacerOk::Ilp(p) => {
-            if let Some(buffers) = p.stats.buffers {
-                swp_obs::observe(swp_obs::Histo::Buffers, u64::from(buffers));
-            }
-            let stats = CompileStats {
-                min_ii: p.stats.min_ii,
-                ii: p.schedule.ii(),
-                optimal: p.stats.optimal_ii,
-                search_effort: p.stats.nodes,
-                pivots: p.stats.pivots,
-                deadline_hit: p.stats.deadline_hit,
-                alloc_ns: p.stats.alloc_ns,
-                ..CompileStats::default()
-            };
-            (p.body, p.schedule, p.allocation, stats)
-        }
-        RacerOk::Sat(p) => {
-            let stats = CompileStats {
-                min_ii: p.stats.min_ii,
-                ii: p.schedule.ii(),
-                optimal: p.stats.optimal_ii,
-                search_effort: p.stats.conflicts,
-                pivots: p.stats.propagations,
-                deadline_hit: p.stats.deadline_hit,
-                alloc_ns: p.stats.alloc_ns,
-                ..CompileStats::default()
-            };
-            (p.body, p.schedule, p.allocation, stats)
-        }
-        RacerOk::Heur(p) => {
-            let stats = CompileStats {
-                min_ii: p.stats.min_ii,
-                ii: p.schedule.ii(),
-                search_effort: u64::from(p.stats.backtracks),
-                spills: p.stats.spills,
-                alloc_ns: p.stats.alloc_ns,
-                ..CompileStats::default()
-            };
-            (p.body, p.schedule, p.allocation, stats)
-        }
-    };
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(&body, &schedule, &allocation)
-    });
-    CompiledLoop {
-        code,
-        stats: CompileStats {
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns: sched_wall_ns.saturating_sub(stats.alloc_ns),
-            expand_ns,
-            ..stats
-        },
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    }
+    stage::run(lp, machine, stages, Mode::Race)
 }
 
 #[cfg(test)]

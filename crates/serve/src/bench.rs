@@ -1,5 +1,4 @@
-//! Service benchmarks: a saturation run against a live server and a
-//! direct sharded-vs-single-lock cache comparison.
+//! Service benchmark: a saturation run against a live server.
 //!
 //! The saturation run is three phases against one store directory:
 //! cold (fresh server, empty store), warm (same server, everything
@@ -7,16 +6,11 @@
 //! same store — the memory cache is gone, so every hit is a disk hit).
 //! The restart phase is the headline number: it is what crash-safe
 //! persistence buys.
-//!
-//! The shard comparison deliberately bypasses the socket layer and
-//! hammers [`showdown::ScheduleCache`] itself, so the number isolates
-//! lock contention rather than protocol cost. `with_shards(1)` is
-//! exactly the pre-sharding single-lock structure.
 
 use std::path::Path;
 use std::time::Instant;
 
-use showdown::{OptLevel, ScheduleCache, SchedulerChoice, VerifyLevel};
+use showdown::{OptLevel, VerifyLevel};
 use swp_ir::Loop;
 use swp_machine::Machine;
 
@@ -192,86 +186,4 @@ pub fn saturate(
         restart_stats,
         errors: cold_err + warm_err + restart_err,
     })
-}
-
-/// Sharded-vs-single-lock cache comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardCompare {
-    /// Hammering threads.
-    pub threads: usize,
-    /// Rounds over the whole kernel set per thread.
-    pub rounds: usize,
-    /// Wall time with `with_shards(1)` — the pre-sharding structure.
-    pub single_lock_us: u64,
-    /// Wall time with the default shard count.
-    pub sharded_us: u64,
-}
-
-impl ShardCompare {
-    /// single-lock time over sharded time (> 1 means sharding wins).
-    pub fn speedup(&self) -> f64 {
-        if self.sharded_us == 0 {
-            0.0
-        } else {
-            self.single_lock_us as f64 / self.sharded_us as f64
-        }
-    }
-}
-
-fn hammer(
-    machine: &Machine,
-    cache: &ScheduleCache,
-    bodies: &[Loop],
-    threads: usize,
-    rounds: usize,
-) -> u64 {
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || {
-                for _ in 0..rounds {
-                    for lp in bodies {
-                        cache
-                            .get_or_compile(lp, machine, &SchedulerChoice::Heuristic)
-                            .expect("heuristic compile");
-                    }
-                }
-            });
-        }
-    });
-    t0.elapsed().as_micros() as u64
-}
-
-/// Time the same multi-threaded all-hit workload against a single-lock
-/// cache and the default sharded cache. Both caches are pre-warmed so
-/// the timed region is the pure lookup path — where lock contention
-/// lives — and trials alternate between the two structures, keeping the
-/// best of each, so a scheduler hiccup cannot charge one side only.
-pub fn shard_compare(machine: &Machine, threads: usize, rounds: usize) -> ShardCompare {
-    let bodies: Vec<Loop> = swp_kernels::livermore()
-        .into_iter()
-        .map(|k| k.body)
-        .collect();
-    let single = ScheduleCache::with_shards(1);
-    let sharded = ScheduleCache::new();
-    for lp in &bodies {
-        single
-            .get_or_compile(lp, machine, &SchedulerChoice::Heuristic)
-            .expect("heuristic compile");
-        sharded
-            .get_or_compile(lp, machine, &SchedulerChoice::Heuristic)
-            .expect("heuristic compile");
-    }
-    let mut single_lock_us = u64::MAX;
-    let mut sharded_us = u64::MAX;
-    for _ in 0..5 {
-        single_lock_us = single_lock_us.min(hammer(machine, &single, &bodies, threads, rounds));
-        sharded_us = sharded_us.min(hammer(machine, &sharded, &bodies, threads, rounds));
-    }
-    ShardCompare {
-        threads,
-        rounds,
-        single_lock_us,
-        sharded_us,
-    }
 }

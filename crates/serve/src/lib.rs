@@ -28,7 +28,7 @@ pub mod server;
 pub mod store;
 
 pub use admission::{Admission, AdmissionOptions, Permit};
-pub use bench::{saturate, shard_compare, PhaseLatency, SaturationReport, ShardCompare};
+pub use bench::{saturate, PhaseLatency, SaturationReport};
 pub use chaos::{service_chaos, ServiceChaosReport};
 pub use client::Client;
 pub use proto::{

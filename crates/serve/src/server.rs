@@ -100,8 +100,6 @@ pub struct ServerOptions {
     pub socket: PathBuf,
     /// Root of the persistent store; `None` disables persistence.
     pub store_dir: Option<PathBuf>,
-    /// Shard count for the in-memory cache; 0 = default.
-    pub cache_shards: usize,
     /// Admission tunables.
     pub admission: AdmissionOptions,
     /// Telemetry collector handler threads install; disabled by default.
@@ -116,7 +114,6 @@ impl ServerOptions {
         ServerOptions {
             socket,
             store_dir: None,
-            cache_shards: 0,
             admission: AdmissionOptions::default(),
             telemetry: Telemetry::disabled(),
             fail_persist_after_tmp: false,
@@ -224,11 +221,7 @@ impl Server {
         let listener = UnixListener::bind(&opts.socket)?;
         let shared = Arc::new(Shared {
             machine,
-            cache: if opts.cache_shards == 0 {
-                ScheduleCache::new()
-            } else {
-                ScheduleCache::with_shards(opts.cache_shards)
-            },
+            cache: ScheduleCache::new(),
             store,
             admission: Admission::new(opts.admission),
             telemetry: opts.telemetry,
@@ -413,64 +406,60 @@ fn process_batch(shared: &Shared, req: &RequestBatch) -> ResponseBatch {
     }
 }
 
+/// Demotion level 1's ILP budget cut: a much tighter pivot and node
+/// leash, both deterministic.
+fn demote_most(most: &mut MostOptions) {
+    most.loop_pivot_limit = Some(100_000);
+    most.pivot_limit = most.pivot_limit.min(100_000);
+    most.node_limit = most.node_limit.min(2_000);
+}
+
+/// Demotion level 1's SAT budget cut, in its own deterministic currency.
+fn demote_sat(sat: &mut SatOptions) {
+    sat.loop_conflict_limit = Some(15_000);
+    sat.conflict_limit = sat.conflict_limit.min(5_000);
+}
+
+/// The compile a request asks for, at the admitted demotion level. A
+/// request deadline bounds every optimal backend the choice runs; the
+/// quick budgets carry no wall limit of their own.
 fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
     let deadline = (req.deadline_ms > 0).then(|| Duration::from_millis(u64::from(req.deadline_ms)));
     match req.choice {
         WireChoice::Ladder => {
             let mut opts = quick_ladder_options().demoted(demotion);
-            if let Some(d) = deadline {
-                opts.most.loop_time_limit = Some(d);
-            }
+            opts.most.loop_time_limit = deadline;
+            opts.sat.loop_time_limit = deadline;
             SchedulerChoice::LadderWith(Box::new(opts))
         }
         WireChoice::Heuristic => SchedulerChoice::Heuristic,
+        _ if demotion >= 2 => SchedulerChoice::Heuristic,
         WireChoice::Ilp => {
-            if demotion >= 2 {
-                return SchedulerChoice::Heuristic;
-            }
             let mut most = quick_most_options();
             if demotion == 1 {
-                most.loop_pivot_limit = Some(100_000);
-                most.pivot_limit = most.pivot_limit.min(100_000);
-                most.node_limit = most.node_limit.min(2_000);
+                demote_most(&mut most);
             }
-            if let Some(d) = deadline {
-                most.loop_time_limit = Some(d);
-            }
+            most.loop_time_limit = deadline;
             SchedulerChoice::IlpWith(most)
         }
         WireChoice::Sat => {
-            if demotion >= 2 {
-                return SchedulerChoice::Heuristic;
-            }
             let mut sat = quick_sat_options();
             if demotion == 1 {
-                sat.loop_conflict_limit = Some(15_000);
-                sat.conflict_limit = sat.conflict_limit.min(5_000);
+                demote_sat(&mut sat);
             }
-            if let Some(d) = deadline {
-                sat.loop_time_limit = Some(d);
-            }
+            sat.loop_time_limit = deadline;
             SchedulerChoice::SatWith(sat)
         }
         WireChoice::Portfolio => {
-            if demotion >= 2 {
-                return SchedulerChoice::Heuristic;
-            }
             let mut opts = quick_portfolio_options();
             if demotion == 1 {
                 // Shed the optimal racers' effort, keep the heuristic
                 // at full strength: the race still ships something.
-                opts.most.loop_pivot_limit = Some(100_000);
-                opts.most.pivot_limit = opts.most.pivot_limit.min(100_000);
-                opts.most.node_limit = opts.most.node_limit.min(2_000);
-                opts.sat.loop_conflict_limit = Some(15_000);
-                opts.sat.conflict_limit = opts.sat.conflict_limit.min(5_000);
+                demote_most(&mut opts.most);
+                demote_sat(&mut opts.sat);
             }
-            if let Some(d) = deadline {
-                opts.most.loop_time_limit = Some(d);
-                opts.sat.loop_time_limit = Some(d);
-            }
+            opts.most.loop_time_limit = deadline;
+            opts.sat.loop_time_limit = deadline;
             SchedulerChoice::PortfolioWith(Box::new(opts))
         }
     }
@@ -567,4 +556,42 @@ pub fn code_fingerprint(c: &CompiledLoop) -> u64 {
     }
     e.u32(code.total_regs());
     fnv1a(&e.buf)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(choice: WireChoice, deadline_ms: u32) -> RequestBatch {
+        RequestBatch {
+            batch_id: 0,
+            client: "c".to_owned(),
+            deadline_ms,
+            choice,
+            opt: showdown::OptLevel::Off,
+            verify: showdown::VerifyLevel::Off,
+            loops: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_ladder_deadline_bounds_both_optimal_rungs() {
+        let SchedulerChoice::LadderWith(opts) = scheduler_for(&request(WireChoice::Ladder, 5), 0)
+        else {
+            panic!("a ladder request compiles down the ladder");
+        };
+        let five = Some(Duration::from_millis(5));
+        assert_eq!(opts.most.loop_time_limit, five);
+        assert_eq!(opts.sat.loop_time_limit, five);
+    }
+
+    #[test]
+    fn demotion_one_keeps_the_sat_budget_cut() {
+        let SchedulerChoice::SatWith(sat) = scheduler_for(&request(WireChoice::Sat, 0), 1) else {
+            panic!("demotion 1 keeps the SAT backend");
+        };
+        assert_eq!(sat.loop_conflict_limit, Some(15_000));
+        assert_eq!(sat.conflict_limit, 5_000);
+        assert_eq!(sat.loop_time_limit, None);
+    }
 }
