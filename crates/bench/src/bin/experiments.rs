@@ -8,8 +8,9 @@
 //!
 //! Subcommands: `fig2 fig3 fig4 fig5 fig6 fig7 compile-speed loop-size
 //! ii-compare solver ablation-order ablation-iisearch ablation-spill
-//! speedup all audit chaos portfolio profile bench opt serve-bench
-//! serve-chaos serve-smoke`.
+//! speedup all audit chaos portfolio profile opt serve-chaos serve-smoke`.
+//! An unknown subcommand or a non-numeric `--threads` prints this list
+//! and exits 2.
 //!
 //! `opt` (not part of `all`) runs every suite loop (plus the Livermore
 //! kernels) through the mid-end pass pipeline, translation-validating
@@ -51,15 +52,6 @@
 //! the dead-metric lint — an `Exact` metric registered but never
 //! incremented exits nonzero — which is how CI keeps the registry honest.
 //!
-//! `bench` (not part of `all`) writes the machine-readable perf snapshot
-//! (`--json FILE`, committed as `BENCH_pr5.json` and uploaded as a CI
-//! artifact): per-suite cold/warm wall time, per-scheduler compile time,
-//! cache hit rate, and the full exact-counter dump.
-//!
-//! `serve-bench` (not part of `all`) saturates the compile service —
-//! cold, warm, and kill-and-restart phases over one persistent store;
-//! with `--json FILE` it writes the snapshot committed as `BENCH_pr9.json`.
-//!
 //! `serve-chaos` (not part of `all`) runs the service-layer fault
 //! sweep: corrupt store records, a crash between temp-write and rename,
 //! mid-frame client disconnects, adversarial frames, and an overload
@@ -84,11 +76,20 @@ use swp_bench::{
     ablation_ii_search, ablation_order, ablation_spill, audit_with, chaos_rung_usage,
     chaos_scenarios, chaos_with, compile_speed, driver_speedup, fig2_geomean, fig2_with, fig3_with,
     fig4_with, fig5_with, fig6_fig7_with, ii_compare_with, loop_size, opt_gate, opt_with,
-    perf_snapshot, portfolio_sweep, portfolio_wall_gate, profile_workload, solver_gate,
-    solver_speed, Effort,
+    portfolio_sweep, portfolio_wall_gate, profile_workload, solver_gate, solver_speed, Effort,
 };
 use swp_heur::PriorityHeuristic;
 use swp_machine::Machine;
+
+const SUBCOMMANDS: &str = "fig2 fig3 fig4 fig5 fig6 fig7 compile-speed loop-size ii-compare \
+     solver ablation-order ablation-iisearch ablation-spill speedup all audit chaos portfolio \
+     profile opt serve-chaos serve-smoke";
+
+/// Print the subcommand list after `problem` and exit 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("experiments: {problem}\nsubcommands: {SUBCOMMANDS}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,13 +98,17 @@ fn main() {
     } else {
         Effort::Quick
     };
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(Driver::default_threads);
+    let threads = match args.iter().position(|a| a == "--threads") {
+        None => Driver::default_threads(),
+        Some(i) => match args.get(i + 1).map(|v| v.parse::<usize>()) {
+            Some(Ok(n)) => n,
+            _ => usage("--threads needs a number"),
+        },
+    };
     let cmd = args.first().map(String::as_str).unwrap_or("all");
+    if !SUBCOMMANDS.split(' ').any(|c| c == cmd) {
+        usage(&format!("unknown subcommand `{cmd}`"));
+    }
     let m = Machine::r8000();
     let driver = Driver::new(threads);
 
@@ -631,38 +636,6 @@ fn main() {
         }
     }
 
-    if cmd == "bench" {
-        let json_path = args
-            .iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1));
-        println!("== Bench snapshot: per-suite wall time, per-scheduler compile time ==");
-        let json = perf_snapshot(&m, threads, 5);
-        let parsed = swp_obs::parse_json(&json).expect("snapshot serializer emits valid JSON");
-        let suites = parsed
-            .get("suites")
-            .and_then(swp_obs::JsonValue::as_array)
-            .map_or(0, <[swp_obs::JsonValue]>::len);
-        let hit_rate = parsed
-            .get("cache")
-            .and_then(|c| c.get("hit_rate"))
-            .and_then(swp_obs::JsonValue::as_number)
-            .unwrap_or(0.0);
-        let pivots = parsed
-            .get("total_pivots")
-            .and_then(swp_obs::JsonValue::as_number)
-            .unwrap_or(0.0);
-        println!(
-            "{suites} suite x scheduler rows; cache hit rate {:.0}%; {pivots} total pivots",
-            100.0 * hit_rate
-        );
-        if let Some(path) = json_path {
-            swp_serve::write_atomic(std::path::Path::new(path), json.as_bytes())
-                .unwrap_or_else(|e| panic!("writing snapshot to {path}: {e}"));
-            println!("snapshot written to {path}");
-        }
-    }
-
     if cmd == "serve-chaos" {
         let deny = args.iter().any(|a| a == "-D" || a == "--deny");
         println!("== Serve chaos: service-layer fault injection ==");
@@ -683,32 +656,6 @@ fn main() {
         let _ = std::fs::remove_dir_all(&root);
         if deny && failed > 0 {
             std::process::exit(1);
-        }
-    }
-
-    if cmd == "serve-bench" {
-        let json_path = args
-            .iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1));
-        let clients = args
-            .iter()
-            .position(|a| a == "--clients")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(8);
-        println!("== Serve bench: saturation (cold/warm/restart) ==");
-        let root = serve_root("bench");
-        let sat = swp_serve::saturate(&m, clients, &root)
-            .unwrap_or_else(|e| panic!("saturation bench: {e}"));
-        let _ = std::fs::remove_dir_all(&root);
-        print_saturation(&sat);
-        if let Some(path) = json_path {
-            let json = serve_bench_json(&sat);
-            swp_obs::parse_json(&json).expect("serve-bench serializer emits valid JSON");
-            swp_serve::write_atomic(std::path::Path::new(path), json.as_bytes())
-                .unwrap_or_else(|e| panic!("writing serve snapshot to {path}: {e}"));
-            println!("snapshot written to {path}");
         }
     }
 
@@ -812,47 +759,4 @@ fn print_saturation(sat: &swp_serve::SaturationReport) {
         100.0 * sat.restart_hit_rate(),
         sat.restart_stats.cache.misses
     );
-}
-
-fn phase_json(w: &mut swp_obs::JsonWriter, key: &str, p: &swp_serve::PhaseLatency) {
-    w.key(key).begin_object();
-    w.key("batches").uint(p.batches as u64);
-    w.key("p50_us").uint(p.p50_us);
-    w.key("p99_us").uint(p.p99_us);
-    w.end_object();
-}
-
-fn serve_stats_json(w: &mut swp_obs::JsonWriter, key: &str, s: &swp_serve::ServeStats) {
-    w.key(key).begin_object();
-    w.key("admitted").uint(s.admitted);
-    w.key("demoted").uint(s.demoted);
-    w.key("inflight_waits").uint(s.inflight_waits);
-    w.key("cache_hits").uint(s.cache.hits);
-    w.key("cache_misses").uint(s.cache.misses);
-    w.key("store_hits").uint(s.store.hits);
-    w.key("store_misses").uint(s.store.misses);
-    w.key("store_corrupt_recovered")
-        .uint(s.store.corrupt_recovered);
-    w.key("store_persisted").uint(s.store.persisted);
-    w.end_object();
-}
-
-/// Render the `swp-serve-bench/1` snapshot committed as `BENCH_pr9.json`.
-fn serve_bench_json(sat: &swp_serve::SaturationReport) -> String {
-    let mut w = swp_obs::JsonWriter::new();
-    w.begin_object();
-    w.key("schema").string("swp-serve-bench/1");
-    w.key("saturation").begin_object();
-    w.key("clients").uint(sat.clients as u64);
-    w.key("loops_per_phase").uint(sat.loops_per_phase as u64);
-    w.key("errors").uint(sat.errors as u64);
-    phase_json(&mut w, "cold", &sat.cold);
-    phase_json(&mut w, "warm", &sat.warm);
-    phase_json(&mut w, "restart", &sat.restart);
-    serve_stats_json(&mut w, "cold_stats", &sat.cold_stats);
-    serve_stats_json(&mut w, "restart_stats", &sat.restart_stats);
-    w.key("restart_disk_hit_rate").float(sat.restart_hit_rate());
-    w.end_object();
-    w.end_object();
-    w.finish()
 }

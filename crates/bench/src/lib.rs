@@ -1489,11 +1489,11 @@ pub fn ablation_order(machine: &Machine, effort: Effort) -> OrderAblation {
     for k in livermore() {
         if let Ok(r) = swp_most::pipeline_most(&k.body, machine, &with) {
             out.solved_with += 1;
-            out.nodes_with += r.stats.nodes;
+            out.nodes_with += r.stats.search_effort;
         }
         if let Ok(r) = swp_most::pipeline_most(&k.body, machine, &without) {
             out.solved_without += 1;
-            out.nodes_without += r.stats.nodes;
+            out.nodes_without += r.stats.search_effort;
         }
     }
     out
@@ -1888,121 +1888,6 @@ fn opt_workload_loops() -> Vec<swp_ir::Loop> {
     red.close(s, acc, 1);
 
     vec![mix.finish(), red.finish()]
-}
-
-/// Build the machine-readable bench snapshot behind `experiments bench
-/// --json` (committed as `BENCH_pr5.json`, uploaded as a CI artifact).
-///
-/// Every SPEC-like suite is compiled under both schedulers twice — a
-/// cold pass and a warm pass through the same driver cache — recording
-/// per-suite wall time for each pass and summed in-compiler nanoseconds
-/// ([`showdown::CompileStats`]) per scheduler. Counter totals come from
-/// the [`swp_obs`] registry, so the reported pivot/node work is the same
-/// number every other telemetry consumer sees.
-pub fn perf_snapshot(machine: &Machine, threads: usize, pr: u64) -> String {
-    let telemetry = Telemetry::new();
-    let driver = Driver::new(threads);
-    let schedulers: [(&'static str, SchedulerChoice); 2] = [
-        ("heuristic", SchedulerChoice::Heuristic),
-        (
-            "ilp",
-            SchedulerChoice::IlpWith(Effort::Quick.most_options()),
-        ),
-    ];
-    struct SuiteRow {
-        name: String,
-        scheduler: &'static str,
-        loops: usize,
-        wall_us: u64,
-        warm_wall_us: u64,
-        compile_ns: u64,
-    }
-    let suites = scaled_suites(Effort::Quick);
-    let mut rows: Vec<SuiteRow> = Vec::new();
-    let mut sched_ns = [0u64; 2];
-    let mut sched_loops = [0usize; 2];
-    for suite in &suites {
-        for (s, (name, choice)) in schedulers.iter().enumerate() {
-            let options = CompileOptions {
-                choice: choice.clone(),
-                verify: VerifyLevel::Off,
-                opt: OptLevel::Off,
-                telemetry: telemetry.clone(),
-            };
-            let pass = || {
-                let start = Instant::now();
-                let ns: Vec<u64> = driver.run_indexed(suite.loops.len(), |i| {
-                    let c = driver
-                        .compile_with(&suite.loops[i].body, machine, &options)
-                        .expect("every suite loop compiles at quick budgets");
-                    c.stats
-                        .sched_ns
-                        .saturating_add(c.stats.alloc_ns)
-                        .saturating_add(c.stats.expand_ns)
-                });
-                let wall = start.elapsed();
-                (wall.as_micros() as u64, ns.iter().sum::<u64>())
-            };
-            let (cold_us, cold_ns) = pass();
-            let (warm_us, _) = pass();
-            sched_ns[s] = sched_ns[s].saturating_add(cold_ns);
-            sched_loops[s] += suite.loops.len();
-            rows.push(SuiteRow {
-                name: suite.name.to_owned(),
-                scheduler: name,
-                loops: suite.loops.len(),
-                wall_us: cold_us,
-                warm_wall_us: warm_us,
-                compile_ns: cold_ns,
-            });
-        }
-    }
-    let cache = driver.cache_stats();
-    let counters = telemetry.counters();
-
-    let mut w = swp_obs::JsonWriter::new();
-    w.begin_object();
-    w.key("schema").string("swp-bench-snapshot/1");
-    w.key("pr").uint(pr);
-    w.key("threads").uint(threads as u64);
-    w.key("effort").string("quick");
-    w.key("suites").begin_array();
-    for r in &rows {
-        w.begin_object();
-        w.key("name").string(&r.name);
-        w.key("scheduler").string(r.scheduler);
-        w.key("loops").uint(r.loops as u64);
-        w.key("wall_us").uint(r.wall_us);
-        w.key("warm_wall_us").uint(r.warm_wall_us);
-        w.key("compile_ns").uint(r.compile_ns);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("schedulers").begin_array();
-    for (s, (name, _)) in schedulers.iter().enumerate() {
-        w.begin_object();
-        w.key("name").string(name);
-        w.key("loops").uint(sched_loops[s] as u64);
-        w.key("compile_ns").uint(sched_ns[s]);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("cache").begin_object();
-    w.key("hits").uint(cache.hits);
-    w.key("misses").uint(cache.misses);
-    let total = cache.hits + cache.misses;
-    w.key("hit_rate")
-        .float(cache.hits as f64 / total.max(1) as f64);
-    w.end_object();
-    w.key("total_pivots").uint(counters.get(Counter::IlpPivots));
-    w.key("total_nodes").uint(counters.get(Counter::IlpNodes));
-    w.key("counters").begin_object();
-    for (c, v) in counters.iter() {
-        w.key(c.name()).uint(v);
-    }
-    w.end_object();
-    w.end_object();
-    w.finish()
 }
 
 #[cfg(test)]

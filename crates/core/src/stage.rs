@@ -13,13 +13,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Instant;
 use swp_codegen::{list_schedule, PipelinedLoop};
-use swp_heur::{HeurOptions, PipelineError};
+use swp_heur::{HeurOptions, OptimalPipelined, PipelineError, SearchError};
 use swp_ir::{Ddg, Loop, Schedule};
 use swp_machine::Machine;
-use swp_most::{MostError, MostOptions};
+use swp_most::MostOptions;
 use swp_obs::{count, CancelToken, Counter};
 use swp_regalloc::{allocate, AllocOutcome, Allocation};
-use swp_sat::{SatError, SatOptions};
+use swp_sat::SatOptions;
 use swp_verify::{Finding, Severity, VerifyLevel, VerifyReport};
 
 /// One stage's scheduler and its budgets.
@@ -97,35 +97,14 @@ impl Backend {
     /// Run this backend's scheduler on `lp`.
     pub(crate) fn schedule(&self, lp: &Loop, machine: &Machine) -> Result<Scheduled, CompileError> {
         match self {
-            Backend::Ilp(opts) => {
-                let (r, ns) =
-                    swp_obs::timed_ns("sched.ilp", || swp_most::pipeline_most(lp, machine, opts));
-                let p = r.map_err(CompileError::Ilp)?;
-                let s = &p.stats;
-                Ok(Scheduled {
-                    fell_back: s.fell_back,
-                    optimal: s.optimal_ii,
-                    search_effort: s.nodes,
-                    pivots: s.pivots,
-                    deadline_hit: s.deadline_hit,
-                    buffers: s.buffers,
-                    ..Scheduled::new((p.body, p.schedule, p.allocation), s.min_ii, ns, s.alloc_ns)
-                })
-            }
-            Backend::Sat(opts) => {
-                let (r, ns) =
-                    swp_obs::timed_ns("sched.sat", || swp_sat::pipeline_sat(lp, machine, opts));
-                let p = r.map_err(CompileError::Sat)?;
-                let s = &p.stats;
-                Ok(Scheduled {
-                    fell_back: s.fell_back,
-                    optimal: s.optimal_ii,
-                    search_effort: s.conflicts,
-                    pivots: s.propagations,
-                    deadline_hit: s.deadline_hit,
-                    ..Scheduled::new((p.body, p.schedule, p.allocation), s.min_ii, ns, s.alloc_ns)
-                })
-            }
+            Backend::Ilp(opts) => optimal(
+                swp_obs::timed_ns("sched.ilp", || swp_most::pipeline_most(lp, machine, opts)),
+                CompileError::Ilp,
+            ),
+            Backend::Sat(opts) => optimal(
+                swp_obs::timed_ns("sched.sat", || swp_sat::pipeline_sat(lp, machine, opts)),
+                CompileError::Sat,
+            ),
             Backend::Heuristic(opts) => {
                 let (r, ns) =
                     swp_obs::timed_ns("sched.heur", || swp_heur::pipeline(lp, machine, opts));
@@ -149,6 +128,24 @@ impl Backend {
             Backend::Sequential => sequential(lp, machine),
         }
     }
+}
+
+/// An optimal backend's result, `(result, pipeline_ns)`, as a stage's.
+fn optimal(
+    (r, ns): (Result<OptimalPipelined, SearchError>, u64),
+    err: fn(SearchError) -> CompileError,
+) -> Result<Scheduled, CompileError> {
+    let p = r.map_err(err)?;
+    let s = &p.stats;
+    Ok(Scheduled {
+        fell_back: s.fell_back,
+        optimal: s.optimal_ii,
+        search_effort: s.search_effort,
+        pivots: s.pivots,
+        deadline_hit: s.deadline_hit,
+        buffers: s.buffers,
+        ..Scheduled::new((p.body, p.schedule, p.allocation), s.min_ii, ns, s.alloc_ns)
+    })
 }
 
 /// The sequential rung: the §4.1 list schedule as a degenerate modulo
@@ -321,8 +318,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Whether a failed stage was cut short by a wall-clock deadline.
 pub(crate) fn deadline_hit(e: &CompileError) -> bool {
     match e {
-        CompileError::Ilp(MostError::NoSchedule { deadline_hit, .. })
-        | CompileError::Sat(SatError::NoSchedule { deadline_hit, .. }) => *deadline_hit,
+        CompileError::Ilp(SearchError::NoSchedule { deadline_hit, .. })
+        | CompileError::Sat(SearchError::NoSchedule { deadline_hit, .. }) => *deadline_hit,
         _ => false,
     }
 }

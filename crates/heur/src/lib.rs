@@ -15,6 +15,10 @@
 //!   [`swp_regalloc`], with exponential spilling on failure (§2.8),
 //! - the memory-bank pairing heuristics of §2.9 ([`bankopt`]).
 //!
+//! It also hosts [`IiSearch`], the MinII-upward II search that the optimal
+//! backends (`swp-most`, `swp-sat`) share, with this pipeliner as their
+//! fallback.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,12 +43,14 @@
 //! ```
 
 pub mod bankopt;
+mod iisearch;
 pub mod modsched;
 pub mod postpass;
 pub mod priority;
 mod restable;
 mod search;
 
+pub use iisearch::{IiOutcome, IiSearch, OptimalPipelined, SearchError, SearchStats};
 pub use modsched::{schedule_at, AttemptStats};
 pub use priority::{priority_list, PriorityHeuristic};
 pub use restable::{identical_resources, ResTable};

@@ -14,6 +14,10 @@
 //! 5. optionally **fall back to the heuristic pipeliner** when MOST cannot
 //!    schedule in time (§4.4's experimental setup).
 //!
+//! Steps 1–3 are `solve_at_ii`; the II search around it, register
+//! allocation and the fallback are `swp_heur::IiSearch`, which `swp-sat`
+//! shares.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,12 +42,15 @@ mod formulation;
 
 pub use formulation::{build_model, Objective, SchedulingModel};
 
-use std::time::{Duration, Instant};
-use swp_heur::{priority_list, HeurOptions, PriorityHeuristic};
+use std::time::Duration;
+use swp_heur::{
+    priority_list, IiOutcome, IiSearch, OptimalPipelined, PriorityHeuristic, SearchError,
+    SearchStats,
+};
 use swp_ilp::{solve_ilp, SolveOptions, Status};
-use swp_ir::{Ddg, Loop, Schedule};
+use swp_ir::{Ddg, Loop, OpId, Schedule};
 use swp_machine::Machine;
-use swp_regalloc::{allocate, AllocOutcome, Allocation};
+use swp_obs::Counter;
 
 /// Controls for the MOST pipeliner.
 #[derive(Debug, Clone)]
@@ -121,259 +128,108 @@ impl MostOptions {
     }
 }
 
-/// Statistics of a MOST run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MostStats {
-    /// MinII of the loop.
-    pub min_ii: u32,
-    /// Branch-and-bound nodes across all solves.
-    pub nodes: u64,
-    /// Simplex pivots across all solves (the deterministic work measure).
-    pub pivots: u64,
-    /// ILP solves performed.
-    pub solves: u32,
-    /// Whether any wall-clock deadline truncated the search. A result
-    /// carrying this flag depends on host load and is *not* reproducible;
-    /// the schedule cache refuses to memoize such results.
-    pub deadline_hit: bool,
-    /// Whether the achieved II equals MinII with a completed search
-    /// (a certificate of rate-optimality).
-    pub optimal_ii: bool,
-    /// Total FIFO buffers of the accepted schedule, when minimized.
-    pub buffers: Option<u32>,
-    /// Whether the heuristic fallback produced the result.
-    pub fell_back: bool,
-    /// IIs probed.
-    pub iis_tried: Vec<u32>,
-    /// Wall-clock time spent in ILP solving.
-    pub solve_time: Duration,
-    /// Nanoseconds spent in register allocation (including the
-    /// fallback's allocation attempts, when it ran).
-    pub alloc_ns: u64,
-}
+/// Statistics of a MOST run: `search_effort` counts branch-and-bound
+/// nodes and `pivots` simplex pivots.
+pub type MostStats = SearchStats;
 
 /// A loop pipelined by MOST (or its heuristic fallback).
-#[derive(Debug, Clone)]
-pub struct MostPipelined {
-    /// The scheduled body (identical to the input unless the fallback
-    /// spilled).
-    pub body: Loop,
-    /// The accepted schedule.
-    pub schedule: Schedule,
-    /// A valid register allocation.
-    pub allocation: Allocation,
-    /// Run statistics.
-    pub stats: MostStats,
-}
-
-impl MostPipelined {
-    /// The achieved II.
-    pub fn ii(&self) -> u32 {
-        self.schedule.ii()
-    }
-}
+pub type MostPipelined = OptimalPipelined;
 
 /// Why MOST (and its fallback, if enabled) failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MostError {
-    /// The loop body is empty.
-    EmptyLoop,
-    /// No schedule found up to MaxII and the fallback was disabled or
-    /// failed too.
-    NoSchedule {
-        /// MinII bound.
-        min_ii: u32,
-        /// MaxII bound.
-        max_ii: u32,
-        /// Whether a wall-clock deadline truncated the search. When set,
-        /// the failure is host-load-dependent (retrying may succeed); the
-        /// schedule cache never memoizes it.
-        deadline_hit: bool,
-    },
-}
+pub type MostError = SearchError;
 
-impl std::fmt::Display for MostError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MostError::EmptyLoop => write!(f, "cannot pipeline an empty loop"),
-            MostError::NoSchedule {
-                min_ii,
-                max_ii,
-                deadline_hit,
-            } => {
-                write!(f, "MOST found no schedule in II range [{min_ii}, {max_ii}]")?;
-                if *deadline_hit {
-                    write!(f, " (wall-clock deadline hit; result is host-dependent)")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for MostError {}
-
-/// Pipeline a loop with the ILP method, §3-style.
+/// Pipeline a loop with the ILP method, §3-style, over the shared II
+/// search ([`IiSearch`]).
 ///
 /// # Errors
 ///
-/// [`MostError::EmptyLoop`] on empty bodies, [`MostError::NoSchedule`]
+/// [`SearchError::EmptyLoop`] on empty bodies, [`SearchError::NoSchedule`]
 /// when nothing (including the fallback) works.
 pub fn pipeline_most(
     lp: &Loop,
     machine: &Machine,
     opts: &MostOptions,
 ) -> Result<MostPipelined, MostError> {
-    if lp.is_empty() {
-        return Err(MostError::EmptyLoop);
-    }
-    if lp.len() > opts.max_ops {
-        return fallback_or_fail(lp, machine, opts, 0, 0, false);
-    }
-    let ddg = Ddg::build(lp, machine);
-    let min_ii = ddg.min_ii();
-    let max_ii = (min_ii * opts.max_ii_factor.max(1)).max(min_ii + 1);
-    let mut stats = MostStats {
-        min_ii,
-        ..MostStats::default()
+    let search = IiSearch {
+        method: "MOST",
+        step_span: "most.ii_step",
+        step_counter: Counter::MostIiSteps,
+        fallback_counter: Counter::MostFallbacks,
+        max_ii_factor: opts.max_ii_factor,
+        fallback: opts.fallback,
+        loop_time_limit: opts.loop_time_limit,
+        loop_work_limit: opts.loop_pivot_limit,
+        work_spent: |s| s.pivots,
+        max_ops: opts.max_ops,
+        cancel: &opts.cancel,
     };
-
-    let orders: Vec<Vec<swp_ir::OpId>> = if opts.use_priority_orders {
-        PriorityHeuristic::ALL
-            .iter()
-            .map(|&h| priority_list(lp, &ddg, machine, h))
-            .collect()
-    } else {
-        vec![lp.ops().iter().map(|o| o.id).collect()]
-    };
-
-    let started = Instant::now();
-    let loop_deadline = opts.loop_time_limit.map(|d| started + d);
-    for ii in min_ii..=max_ii {
-        if opts.cancel.is_cancelled() || loop_deadline.is_some_and(|d| Instant::now() >= d) {
-            stats.deadline_hit = true;
-            break;
-        }
-        if opts.loop_pivot_limit.is_some_and(|l| stats.pivots >= l) {
-            break;
-        }
-        stats.iis_tried.push(ii);
-        swp_obs::count(swp_obs::Counter::MostIiSteps, 1);
-        let step_span = swp_obs::span("most.ii_step").with_i("ii", i64::from(ii));
-        let solved = solve_at_ii(lp, &ddg, machine, ii, opts, &orders, &mut stats);
-        drop(step_span);
-        if let Some((schedule, buffers, complete)) = solved {
-            debug_assert_eq!(schedule.validate(lp, &ddg, machine), Ok(()));
-            let (outcome, alloc_ns) =
-                swp_obs::timed_ns("regalloc.attempt", || allocate(lp, &schedule, machine));
-            stats.alloc_ns = stats.alloc_ns.saturating_add(alloc_ns);
-            match outcome {
-                AllocOutcome::Allocated(allocation) => {
-                    stats.optimal_ii = ii == min_ii && complete;
-                    stats.buffers = buffers;
-                    stats.solve_time = started.elapsed();
-                    return Ok(MostPipelined {
-                        body: lp.clone(),
-                        schedule,
-                        allocation,
-                        stats,
-                    });
-                }
-                AllocOutcome::Failed { .. } => {
-                    // MOST has no spilling; try a larger II (more slack,
-                    // fewer overlapped stages) before falling back.
-                    continue;
-                }
-            }
-        }
-    }
-    stats.solve_time = started.elapsed();
-    let mut r = fallback_or_fail(lp, machine, opts, min_ii, max_ii, stats.deadline_hit);
-    if let Ok(p) = &mut r {
-        p.stats.min_ii = stats.min_ii;
-        p.stats.nodes = stats.nodes;
-        p.stats.pivots = stats.pivots;
-        p.stats.solves = stats.solves;
-        p.stats.deadline_hit = stats.deadline_hit;
-        p.stats.iis_tried = stats.iis_tried;
-        p.stats.solve_time = stats.solve_time;
-        p.stats.alloc_ns = p.stats.alloc_ns.saturating_add(stats.alloc_ns);
-    }
-    r
-}
-
-/// §4.4: "instead of falling back to the single block scheduler … it
-/// instead falls back to the MIPSpro pipeliner itself."
-fn fallback_or_fail(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &MostOptions,
-    min_ii: u32,
-    max_ii: u32,
-    deadline_hit: bool,
-) -> Result<MostPipelined, MostError> {
-    if opts.fallback {
-        let heur_opts = HeurOptions {
-            cancel: opts.cancel.clone(),
-            ..HeurOptions::default()
-        };
-        if let Ok(h) = swp_heur::pipeline(lp, machine, &heur_opts) {
-            swp_obs::count(swp_obs::Counter::MostFallbacks, 1);
-            let stats = MostStats {
-                fell_back: true,
-                deadline_hit,
-                alloc_ns: h.stats.alloc_ns,
-                ..MostStats::default()
-            };
-            return Ok(MostPipelined {
-                body: h.body,
-                schedule: h.schedule,
-                allocation: h.allocation,
-                stats,
-            });
-        }
-    }
-    Err(MostError::NoSchedule {
-        min_ii,
-        max_ii,
-        deadline_hit,
+    let mut orders = None;
+    search.run(lp, machine, |ddg, ii, _, stats| {
+        let orders = orders.get_or_insert_with(|| branch_orders(lp, ddg, machine, opts));
+        solve_at_ii(lp, ddg, machine, ii, opts, orders, stats)
     })
 }
 
-/// Solve one II: feasibility first, then optional buffer minimization.
-/// Returns `(schedule, buffers, search_complete)`.
+/// The op orders that drive branching: the SGI priority lists (§3.3
+/// adj. 3), or program order when they are off.
+fn branch_orders(lp: &Loop, ddg: &Ddg, machine: &Machine, opts: &MostOptions) -> Vec<Vec<OpId>> {
+    if opts.use_priority_orders {
+        PriorityHeuristic::ALL
+            .iter()
+            .map(|&h| priority_list(lp, ddg, machine, h))
+            .collect()
+    } else {
+        vec![lp.ops().iter().map(|o| o.id).collect()]
+    }
+}
+
+/// MOST's per-II step: the feasibility model, then (when
+/// `minimize_buffers`) the buffer model, each tried over `orders` until
+/// one solve succeeds. Folds the solver work into `stats`.
+///
+/// MOST has no proof of infeasibility the II search can rely on, so every
+/// II without a schedule is [`IiOutcome::Unknown`]; a certificate then
+/// needs the schedule at MinII from a completed search.
 fn solve_at_ii(
     lp: &Loop,
     ddg: &Ddg,
     machine: &Machine,
     ii: u32,
     opts: &MostOptions,
-    orders: &[Vec<swp_ir::OpId>],
-    stats: &mut MostStats,
-) -> Option<(Schedule, Option<u32>, bool)> {
+    orders: &[Vec<OpId>],
+    stats: &mut SearchStats,
+) -> IiOutcome {
+    let mut solve = |model: &SchedulingModel, order: &[OpId], base: SolveOptions| {
+        let r = solve_ilp(
+            &model.model,
+            &SolveOptions {
+                node_limit: opts.node_limit,
+                pivot_limit: opts.pivot_limit,
+                time_limit: opts.time_limit,
+                branch_order: Some(model.branch_order(order)),
+                // Fixing the LP-preferred a[i][t] to 1 first turns the DFS
+                // dive into a priority-guided list scheduler (see
+                // SolveOptions docs).
+                branch_groups: Some(model.branch_groups(order)),
+                branch_up_first: true,
+                cancel: opts.cancel.clone(),
+                ..base
+            },
+        );
+        stats.search_effort += r.nodes;
+        stats.pivots += r.pivots;
+        stats.deadline_hit |= r.deadline_hit;
+        r
+    };
     // Adjustment 1: resource-constrained feasibility as a filter.
     let feas_model = build_model(lp, ddg, machine, ii, Objective::Feasibility);
     let mut feasible: Option<(Vec<f64>, bool)> = None;
     for order in orders {
-        let solve_opts = SolveOptions {
+        let stop_at_first = SolveOptions {
             stop_at_first: true,
-            node_limit: opts.node_limit,
-            pivot_limit: opts.pivot_limit,
-            time_limit: opts.time_limit,
-            branch_order: Some(feas_model.branch_order(order)),
-            // Fixing the LP-preferred a[i][t] to 1 first turns the DFS
-            // dive into a priority-guided list scheduler (see
-            // SolveOptions docs).
-            branch_groups: Some(feas_model.branch_groups(order)),
-            branch_up_first: true,
-            cancel: opts.cancel.clone(),
             ..SolveOptions::default()
         };
-        stats.solves += 1;
-        let r = solve_ilp(&feas_model.model, &solve_opts);
-        stats.nodes += r.nodes;
-        stats.pivots += r.pivots;
-        stats.deadline_hit |= r.deadline_hit;
+        let r = solve(&feas_model, order, stop_at_first);
         match r.status {
             Status::Optimal | Status::Feasible => {
                 let complete = r.status == Status::Optimal || r.solution.is_some();
@@ -383,68 +239,48 @@ fn solve_at_ii(
                 ));
                 break;
             }
-            Status::Infeasible => {
-                // Proven infeasible: no other order will change that.
-                return None;
-            }
+            // Infeasible in this model: no other order will change that.
+            Status::Infeasible => return IiOutcome::Unknown,
             Status::Unknown => continue, // try the next priority order
         }
     }
-    let (feas_values, complete) = feasible?;
-
+    let Some((feas_values, complete)) = feasible else {
+        return IiOutcome::Unknown;
+    };
+    let accept = |model: &SchedulingModel, values: &[f64], buffers| IiOutcome::Schedule {
+        schedule: Schedule::new(ii, model.extract_times(values)),
+        buffers,
+        complete,
+    };
     if !opts.minimize_buffers {
-        let times = feas_model.extract_times(&feas_values);
-        return Some((Schedule::new(ii, times), None, complete));
+        return accept(&feas_model, &feas_values, None);
     }
 
     // Adjustment 2: buffer minimization, accepting the best incumbent.
     let buf_model = build_model(lp, ddg, machine, ii, Objective::MinBuffers);
-    let mut best: Option<(Vec<f64>, Option<u32>)> = None;
     for order in orders {
-        let solve_opts = SolveOptions {
-            node_limit: opts.node_limit,
-            pivot_limit: opts.pivot_limit,
-            time_limit: opts.time_limit,
-            branch_order: Some(buf_model.branch_order(order)),
-            branch_groups: Some(buf_model.branch_groups(order)),
-            branch_up_first: true,
-            cancel: opts.cancel.clone(),
-            // Seed the search with the feasibility schedule (extended by
-            // its implied buffer counts — the two models share the
-            // schedule-variable prefix): the solve starts with an
-            // incumbent and an armed cutoff, while branching stays
-            // LP-guided. Steering the dive toward this solution instead
-            // would anchor a truncated search at the feasibility dive's
-            // sprawled leaf, which is usually far worse than where the
-            // buffer relaxation points.
+        // Seed the search with the feasibility schedule (extended by its
+        // implied buffer counts — the two models share the
+        // schedule-variable prefix): the solve starts with an incumbent
+        // and an armed cutoff, while branching stays LP-guided. Steering
+        // the dive toward this solution instead would anchor a truncated
+        // search at the feasibility dive's sprawled leaf, which is usually
+        // far worse than where the buffer relaxation points.
+        let warm = SolveOptions {
             warm_start: Some(buf_model.warm_start_from(lp, &feas_values)),
             ..SolveOptions::default()
         };
-        stats.solves += 1;
-        let r = solve_ilp(&buf_model.model, &solve_opts);
-        stats.nodes += r.nodes;
-        stats.pivots += r.pivots;
-        stats.deadline_hit |= r.deadline_hit;
+        let r = solve(&buf_model, order, warm);
         if let Some(sol) = r.solution {
             let buffers = buf_model.total_buffers(&sol.values);
-            best = Some((sol.values, buffers));
-            break;
+            return accept(&buf_model, &sol.values, buffers);
         }
         if r.status == Status::Infeasible {
             break; // cannot happen if feasibility held; defensive
         }
     }
-    match best {
-        Some((values, buffers)) => {
-            let times = buf_model.extract_times(&values);
-            Some((Schedule::new(ii, times), buffers, complete))
-        }
-        None => {
-            // Accept the feasibility schedule (the paper's "if any").
-            let times = feas_model.extract_times(&feas_values);
-            Some((Schedule::new(ii, times), None, complete))
-        }
-    }
+    // Accept the feasibility schedule (the paper's "if any").
+    accept(&feas_model, &feas_values, None)
 }
 
 #[cfg(test)]
@@ -549,7 +385,7 @@ mod tests {
         match (a, b) {
             (Ok(x), Ok(y)) => {
                 assert_eq!(x.stats.pivots, y.stats.pivots);
-                assert_eq!(x.stats.nodes, y.stats.nodes);
+                assert_eq!(x.stats.search_effort, y.stats.search_effort);
                 assert!(!x.stats.deadline_hit);
                 assert!(!y.stats.deadline_hit);
             }

@@ -7,10 +7,10 @@
 //! clause-learning solver: watched-literal unit propagation, implicit
 //! theory propagators for the at-most-one / dependence / modulo-resource
 //! families, 1-UIP conflict analysis with clause learning, VSIDS
-//! branching, and Luby restarts. The II ladder around the solver is
-//! MOST's, verbatim: start at MinII, climb to MaxII, accept the first II
-//! whose schedule also register-allocates, otherwise fall back to the
-//! heuristic pipeliner (when enabled).
+//! branching, and Luby restarts. The II ladder around the solver is the
+//! one MOST runs too, `swp_heur::IiSearch`: start at MinII, climb to
+//! MaxII, accept the first II whose schedule also register-allocates,
+//! otherwise fall back to the heuristic pipeliner (when enabled).
 //!
 //! Crucially the per-II search box is **MOST's horizon** — times in
 //! `[0, II·(kmax+1))` with the same `kmax` stage bound — so a SAT/UNSAT
@@ -49,11 +49,10 @@ mod solver;
 
 use solver::{SolveBudget, SolveOutcome, Solver};
 use std::time::{Duration, Instant};
-use swp_heur::HeurOptions;
+use swp_heur::{IiOutcome, IiSearch, OptimalPipelined, SearchError, SearchStats};
 use swp_ir::{Ddg, Loop, Schedule};
 use swp_machine::Machine;
-use swp_obs::CancelToken;
-use swp_regalloc::{allocate, AllocOutcome, Allocation};
+use swp_obs::{CancelToken, Counter};
 
 /// Controls for the SAT pipeliner.
 #[derive(Debug, Clone)]
@@ -117,212 +116,44 @@ impl SatOptions {
     }
 }
 
-/// Statistics of a SAT run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SatStats {
-    /// MinII of the loop.
-    pub min_ii: u32,
-    /// Branching decisions across all solves.
-    pub decisions: u64,
-    /// Conflicts across all solves (the coarse deterministic work
-    /// measure, the analogue of MOST's branch-and-bound nodes).
-    pub conflicts: u64,
-    /// Unit propagations across all solves (the fine-grained deterministic
-    /// work measure, the analogue of simplex pivots).
-    pub propagations: u64,
-    /// Luby restarts across all solves.
-    pub restarts: u64,
-    /// Literals in learned clauses across all solves.
-    pub learned_literals: u64,
-    /// SAT solves performed (one per II actually searched).
-    pub solves: u32,
-    /// Whether any wall-clock deadline (or cancellation) truncated the
-    /// search. A result carrying this flag depends on host load and is
-    /// *not* reproducible; the schedule cache refuses to memoize it.
-    pub deadline_hit: bool,
-    /// Whether every II below the achieved one was *proven* unsatisfiable
-    /// and the winning solve ran to completion — a rate-optimality
-    /// certificate. Trivially holds when the achieved II is MinII.
-    pub optimal_ii: bool,
-    /// Whether the heuristic fallback produced the result.
-    pub fell_back: bool,
-    /// IIs probed.
-    pub iis_tried: Vec<u32>,
-    /// Wall-clock time spent in SAT solving.
-    pub solve_time: Duration,
-    /// Nanoseconds spent in register allocation (including the fallback's
-    /// allocation attempts, when it ran).
-    pub alloc_ns: u64,
-}
+/// Statistics of a SAT run: `search_effort` counts CDCL conflicts and
+/// `pivots` unit propagations.
+pub type SatStats = SearchStats;
 
 /// A loop pipelined by the SAT backend (or its heuristic fallback).
-#[derive(Debug, Clone)]
-pub struct SatPipelined {
-    /// The scheduled body (identical to the input unless the fallback
-    /// spilled).
-    pub body: Loop,
-    /// The accepted schedule.
-    pub schedule: Schedule,
-    /// A valid register allocation.
-    pub allocation: Allocation,
-    /// Run statistics.
-    pub stats: SatStats,
-}
-
-impl SatPipelined {
-    /// The achieved II.
-    pub fn ii(&self) -> u32 {
-        self.schedule.ii()
-    }
-}
+pub type SatPipelined = OptimalPipelined;
 
 /// Why the SAT backend (and its fallback, if enabled) failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SatError {
-    /// The loop body is empty.
-    EmptyLoop,
-    /// No schedule found up to MaxII and the fallback was disabled or
-    /// failed too.
-    NoSchedule {
-        /// MinII bound.
-        min_ii: u32,
-        /// MaxII bound.
-        max_ii: u32,
-        /// Whether a wall-clock deadline (or cancellation) truncated the
-        /// search. When set, the failure is host-load-dependent (retrying
-        /// may succeed); the schedule cache never memoizes it.
-        deadline_hit: bool,
-    },
-}
+pub type SatError = SearchError;
 
-impl std::fmt::Display for SatError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SatError::EmptyLoop => write!(f, "cannot pipeline an empty loop"),
-            SatError::NoSchedule {
-                min_ii,
-                max_ii,
-                deadline_hit,
-            } => {
-                write!(f, "SAT found no schedule in II range [{min_ii}, {max_ii}]")?;
-                if *deadline_hit {
-                    write!(f, " (wall-clock deadline hit; result is host-dependent)")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for SatError {}
-
-/// Pipeline a loop with the CDCL scheduler, MOST-style ladder.
+/// Pipeline a loop with the CDCL scheduler over the II search it shares
+/// with MOST ([`IiSearch`]).
 ///
 /// # Errors
 ///
-/// [`SatError::EmptyLoop`] on empty bodies, [`SatError::NoSchedule`] when
-/// nothing (including the fallback) works.
+/// [`SearchError::EmptyLoop`] on empty bodies, [`SearchError::NoSchedule`]
+/// when nothing (including the fallback) works.
 pub fn pipeline_sat(
     lp: &Loop,
     machine: &Machine,
     opts: &SatOptions,
 ) -> Result<SatPipelined, SatError> {
-    if lp.is_empty() {
-        return Err(SatError::EmptyLoop);
-    }
-    if lp.len() > opts.max_ops {
-        return fallback_or_fail(lp, machine, opts, 0, 0, false);
-    }
-    let ddg = Ddg::build(lp, machine);
-    let min_ii = ddg.min_ii();
-    let max_ii = (min_ii * opts.max_ii_factor.max(1)).max(min_ii + 1);
-    let mut stats = SatStats {
-        min_ii,
-        ..SatStats::default()
+    let search = IiSearch {
+        method: "SAT",
+        step_span: "sat.ii_step",
+        step_counter: Counter::SatIiSteps,
+        fallback_counter: Counter::SatFallbacks,
+        max_ii_factor: opts.max_ii_factor,
+        fallback: opts.fallback,
+        loop_time_limit: opts.loop_time_limit,
+        loop_work_limit: opts.loop_conflict_limit,
+        work_spent: |s| s.search_effort,
+        max_ops: opts.max_ops,
+        cancel: &opts.cancel,
     };
-
-    let started = Instant::now();
-    let loop_deadline = opts.loop_time_limit.map(|d| started + d);
-    // Rate-optimality bookkeeping: stays true while every lower II that
-    // was passed over carries a real UNSAT proof (not a budget timeout,
-    // not a register-allocation failure).
-    let mut proven_below = true;
-    for ii in min_ii..=max_ii {
-        if opts.cancel.is_cancelled() || loop_deadline.is_some_and(|d| Instant::now() >= d) {
-            stats.deadline_hit = true;
-            break;
-        }
-        if opts
-            .loop_conflict_limit
-            .is_some_and(|l| stats.conflicts >= l)
-        {
-            break;
-        }
-        stats.iis_tried.push(ii);
-        swp_obs::count(swp_obs::Counter::SatIiSteps, 1);
-        let step_span = swp_obs::span("sat.ii_step").with_i("ii", i64::from(ii));
-        let solved = solve_at_ii(lp, &ddg, machine, ii, opts, loop_deadline, &mut stats);
-        drop(step_span);
-        match solved {
-            IiOutcome::Schedule(schedule, complete) => {
-                debug_assert_eq!(schedule.validate(lp, &ddg, machine), Ok(()));
-                let (outcome, alloc_ns) =
-                    swp_obs::timed_ns("regalloc.attempt", || allocate(lp, &schedule, machine));
-                stats.alloc_ns = stats.alloc_ns.saturating_add(alloc_ns);
-                match outcome {
-                    AllocOutcome::Allocated(allocation) => {
-                        stats.optimal_ii = proven_below && complete;
-                        stats.solve_time = started.elapsed();
-                        return Ok(SatPipelined {
-                            body: lp.clone(),
-                            schedule,
-                            allocation,
-                            stats,
-                        });
-                    }
-                    AllocOutcome::Failed { .. } => {
-                        // SAT has no spilling; a larger II gives the
-                        // allocator more slack. The passed-over II *was*
-                        // schedulable, so optimality is forfeited.
-                        proven_below = false;
-                        continue;
-                    }
-                }
-            }
-            IiOutcome::ProvenUnsat => continue,
-            IiOutcome::Unknown => {
-                proven_below = false;
-                continue;
-            }
-        }
-    }
-    stats.solve_time = started.elapsed();
-    let mut r = fallback_or_fail(lp, machine, opts, min_ii, max_ii, stats.deadline_hit);
-    if let Ok(p) = &mut r {
-        p.stats.min_ii = stats.min_ii;
-        p.stats.decisions = stats.decisions;
-        p.stats.conflicts = stats.conflicts;
-        p.stats.propagations = stats.propagations;
-        p.stats.restarts = stats.restarts;
-        p.stats.learned_literals = stats.learned_literals;
-        p.stats.solves = stats.solves;
-        p.stats.deadline_hit = stats.deadline_hit;
-        p.stats.iis_tried = stats.iis_tried;
-        p.stats.solve_time = stats.solve_time;
-        p.stats.alloc_ns = p.stats.alloc_ns.saturating_add(stats.alloc_ns);
-    }
-    r
-}
-
-/// What one II attempt concluded.
-enum IiOutcome {
-    /// A model, and whether the solve ran without budget truncation
-    /// (`true` ⇒ an UNSAT verdict at this II would also have been found).
-    Schedule(Schedule, bool),
-    /// Proven unsatisfiable at this II (within the shared horizon).
-    ProvenUnsat,
-    /// Budget ran out first.
-    Unknown,
+    search.run(lp, machine, |ddg, ii, loop_deadline, stats| {
+        solve_at_ii(lp, ddg, machine, ii, opts, loop_deadline, stats)
+    })
 }
 
 /// Encode and solve one II, folding solver work into `stats` and the
@@ -334,12 +165,12 @@ fn solve_at_ii(
     ii: u32,
     opts: &SatOptions,
     loop_deadline: Option<Instant>,
-    stats: &mut SatStats,
+    stats: &mut SearchStats,
 ) -> IiOutcome {
     let Some(inst) = encode::build(lp, ddg, machine, ii) else {
         // Positive dependence cycle or an empty longest-path window: a
         // structural UNSAT proof, no search needed.
-        return IiOutcome::ProvenUnsat;
+        return IiOutcome::Infeasible;
     };
     let solve_deadline = opts.time_limit.map(|d| Instant::now() + d);
     let deadline = match (solve_deadline, loop_deadline) {
@@ -352,21 +183,14 @@ fn solve_at_ii(
         deadline,
     };
     let mut solver = Solver::new(&inst);
-    stats.solves += 1;
     let outcome = solver.solve(&budget, &opts.cancel);
-    stats.decisions += solver.stats.decisions;
-    stats.conflicts += solver.stats.conflicts;
-    stats.propagations += solver.stats.propagations;
-    stats.restarts += solver.stats.restarts;
-    stats.learned_literals += solver.stats.learned_literals;
-    swp_obs::count(swp_obs::Counter::SatDecisions, solver.stats.decisions);
-    swp_obs::count(swp_obs::Counter::SatConflicts, solver.stats.conflicts);
-    swp_obs::count(swp_obs::Counter::SatPropagations, solver.stats.propagations);
-    swp_obs::count(swp_obs::Counter::SatRestarts, solver.stats.restarts);
-    swp_obs::count(
-        swp_obs::Counter::SatLearnedLiterals,
-        solver.stats.learned_literals,
-    );
+    stats.search_effort += solver.stats.conflicts;
+    stats.pivots += solver.stats.propagations;
+    swp_obs::count(Counter::SatDecisions, solver.stats.decisions);
+    swp_obs::count(Counter::SatConflicts, solver.stats.conflicts);
+    swp_obs::count(Counter::SatPropagations, solver.stats.propagations);
+    swp_obs::count(Counter::SatRestarts, solver.stats.restarts);
+    swp_obs::count(Counter::SatLearnedLiterals, solver.stats.learned_literals);
     match outcome {
         SolveOutcome::Sat(mut times) => {
             // The model is an arbitrary feasible point; shrink its def-use
@@ -375,52 +199,18 @@ fn solve_at_ii(
             // thanks to buffer minimization fail allocation here and the
             // two backends diverge on achieved II.
             compact::compact(&inst, ddg, &mut times);
-            IiOutcome::Schedule(Schedule::new(ii, times), true)
+            IiOutcome::Schedule {
+                schedule: Schedule::new(ii, times),
+                buffers: None,
+                complete: true,
+            }
         }
-        SolveOutcome::Unsat => IiOutcome::ProvenUnsat,
+        SolveOutcome::Unsat => IiOutcome::Infeasible,
         SolveOutcome::Unknown { deadline_hit } => {
             stats.deadline_hit |= deadline_hit;
             IiOutcome::Unknown
         }
     }
-}
-
-/// The same arrangement as MOST's §4.4 fallback: when the optimal method
-/// cannot schedule in time, hand the loop to the heuristic pipeliner.
-fn fallback_or_fail(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &SatOptions,
-    min_ii: u32,
-    max_ii: u32,
-    deadline_hit: bool,
-) -> Result<SatPipelined, SatError> {
-    if opts.fallback {
-        let heur_opts = HeurOptions {
-            cancel: opts.cancel.clone(),
-            ..HeurOptions::default()
-        };
-        if let Ok(h) = swp_heur::pipeline(lp, machine, &heur_opts) {
-            swp_obs::count(swp_obs::Counter::SatFallbacks, 1);
-            let stats = SatStats {
-                fell_back: true,
-                deadline_hit,
-                alloc_ns: h.stats.alloc_ns,
-                ..SatStats::default()
-            };
-            return Ok(SatPipelined {
-                body: h.body,
-                schedule: h.schedule,
-                allocation: h.allocation,
-                stats,
-            });
-        }
-    }
-    Err(SatError::NoSchedule {
-        min_ii,
-        max_ii,
-        deadline_hit,
-    })
 }
 
 #[cfg(test)]
@@ -489,7 +279,7 @@ mod tests {
             ..SatOptions::default()
         };
         let out = solve_at_ii(&lp, &ddg, &m, min_ii - 1, &opts, None, &mut stats);
-        assert!(matches!(out, IiOutcome::ProvenUnsat));
+        assert!(matches!(out, IiOutcome::Infeasible));
     }
 
     #[test]
@@ -509,8 +299,8 @@ mod tests {
         let b = pipeline_sat(&dot(), &m, &opts);
         match (a, b) {
             (Ok(x), Ok(y)) => {
-                assert_eq!(x.stats.propagations, y.stats.propagations);
-                assert_eq!(x.stats.conflicts, y.stats.conflicts);
+                assert_eq!(x.stats.pivots, y.stats.pivots);
+                assert_eq!(x.stats.search_effort, y.stats.search_effort);
                 assert_eq!(x.schedule.times(), y.schedule.times());
                 assert!(!x.stats.deadline_hit);
                 assert!(!y.stats.deadline_hit);

@@ -102,6 +102,43 @@ fn sat_schedules_validate_on_livermore() {
     }
 }
 
+/// A loop over `max_ops` skips the II search and goes straight to the
+/// heuristic fallback; its stats must still carry the loop's MinII, as the
+/// main fallback path's do.
+#[test]
+fn over_max_ops_fallback_reports_the_loop_min_ii() {
+    let m = Machine::r8000();
+    let lp = swp_kernels::livermore()[0].body.clone();
+    let min_ii = Ddg::build(&lp, &m).min_ii();
+    let most = swp_most::MostOptions {
+        max_ops: 2,
+        fallback: true,
+        ..quick_most()
+    };
+    let sat = SatOptions {
+        max_ops: 2,
+        fallback: true,
+        ..quick_sat()
+    };
+    assert!(lp.len() > 2 && min_ii > 0);
+    for (backend, got) in [
+        (
+            "most",
+            swp_most::pipeline_most(&lp, &m, &most)
+                .ok()
+                .map(|p| (p.stats.min_ii, p.stats.fell_back)),
+        ),
+        (
+            "sat",
+            pipeline_sat(&lp, &m, &sat)
+                .ok()
+                .map(|p| (p.stats.min_ii, p.stats.fell_back)),
+        ),
+    ] {
+        assert_eq!(got, Some((min_ii, true)), "{backend}");
+    }
+}
+
 fn params_strategy() -> impl Strategy<Value = (GenParams, u64)> {
     (
         4usize..32,
