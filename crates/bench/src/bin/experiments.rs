@@ -3,14 +3,17 @@
 //! ```text
 //! cargo run -p swp-bench --release --bin experiments -- all
 //! cargo run -p swp-bench --release --bin experiments -- fig2 [--full] [--threads N]
-//! cargo run -p swp-bench --release --bin experiments -- speedup --threads 4
+//! cargo run -p swp-bench --release --bin experiments -- audit -D
 //! ```
 //!
 //! Subcommands: `fig2 fig3 fig4 fig5 fig6 fig7 compile-speed loop-size
-//! ii-compare solver ablation-order ablation-iisearch ablation-spill
-//! speedup all audit chaos portfolio profile opt serve-chaos serve-smoke`.
+//! ii-compare solver ablation-order ablation-iisearch ablation-spill all
+//! audit chaos portfolio profile opt serve-chaos serve-smoke`.
 //! An unknown subcommand or a non-numeric `--threads` prints this list
-//! and exits 2.
+//! and exits 2. The gates (`audit`, `solver`, `opt`, `chaos`,
+//! `portfolio`, `serve-chaos`, `serve-smoke`) all take `-D` (or
+//! `--deny`): without it a violated floor is only printed, with it the
+//! process also exits nonzero.
 //!
 //! `opt` (not part of `all`) runs every suite loop (plus the Livermore
 //! kernels) through the mid-end pass pipeline, translation-validating
@@ -41,7 +44,7 @@
 //! the racing layer to their claims.
 //!
 //! `solver` (not part of `all`) prints MOST's deterministic node/pivot
-//! work counters over the Livermore kernels; with `--gate` it exits
+//! work counters over the Livermore kernels; with `-D` it exits
 //! nonzero when any committed work floor is violated, which is how CI
 //! catches solver-efficiency regressions without trusting wall clocks.
 //!
@@ -68,22 +71,20 @@
 //! figures; each figure reports the cache hits/misses it contributed.
 //! The compile-*time* tables (`compile-speed`, `loop-size`) always
 //! compile from scratch — caching a stopwatch would fake the result.
-//! `speedup` measures the whole pipeline both ways and prints the
-//! sequential and parallel wall-clocks side by side.
 
 use showdown::Driver;
 use swp_bench::{
     ablation_ii_search, ablation_order, ablation_spill, audit_with, chaos_rung_usage,
-    chaos_scenarios, chaos_with, compile_speed, driver_speedup, fig2_geomean, fig2_with, fig3_with,
-    fig4_with, fig5_with, fig6_fig7_with, ii_compare_with, loop_size, opt_gate, opt_with,
-    portfolio_sweep, portfolio_wall_gate, profile_workload, solver_gate, solver_speed, Effort,
+    chaos_scenarios, chaos_with, compile_speed, fig2_geomean, fig2_with, fig3_with, fig4_with,
+    fig5_with, fig6_fig7_with, ii_compare_with, loop_size, opt_gate, opt_with, portfolio_sweep,
+    portfolio_wall_gate, profile_workload, solver_gate, solver_speed, Effort,
 };
 use swp_heur::PriorityHeuristic;
 use swp_machine::Machine;
 
 const SUBCOMMANDS: &str = "fig2 fig3 fig4 fig5 fig6 fig7 compile-speed loop-size ii-compare \
-     solver ablation-order ablation-iisearch ablation-spill speedup all audit chaos portfolio \
-     profile opt serve-chaos serve-smoke";
+     solver ablation-order ablation-iisearch ablation-spill all audit chaos portfolio profile opt \
+     serve-chaos serve-smoke";
 
 /// Print the subcommand list after `problem` and exit 2.
 fn usage(problem: &str) -> ! {
@@ -105,6 +106,7 @@ fn main() {
             _ => usage("--threads needs a number"),
         },
     };
+    let deny = args.iter().any(|a| a == "-D" || a == "--deny");
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     if !SUBCOMMANDS.split(' ').any(|c| c == cmd) {
         usage(&format!("unknown subcommand `{cmd}`"));
@@ -331,7 +333,6 @@ fn main() {
     }
 
     if cmd == "solver" {
-        let gate = args.iter().any(|a| a == "--gate");
         println!("== Solver speed: MOST work counters, 24 Livermore kernels ==");
         println!("(deterministic quick budgets, fallback off — counters reproduce exactly)");
         println!(
@@ -371,7 +372,7 @@ fn main() {
             Ok(()) => println!("gate: ok"),
             Err(e) => {
                 println!("gate: FAIL — {e}");
-                if gate {
+                if deny {
                     std::process::exit(1);
                 }
             }
@@ -379,7 +380,6 @@ fn main() {
     }
 
     if cmd == "opt" {
-        let deny = args.iter().any(|a| a == "-D" || a == "--deny");
         println!("== Opt: mid-end pass-pipeline impact, every suite + Livermore ==");
         println!("(quick deterministic budgets — every number reproduces exactly)");
         println!(
@@ -444,7 +444,6 @@ fn main() {
     }
 
     if cmd == "audit" {
-        let deny = args.iter().any(|a| a == "-D" || a == "--deny");
         println!("== Audit: translation validation, every suite x both schedulers ==");
         println!(
             "{:<12} {:<10} {:>6} {:>7} {:>9} {:>6}",
@@ -479,7 +478,6 @@ fn main() {
     }
 
     if cmd == "chaos" {
-        let deny = args.iter().any(|a| a == "-D" || a == "--deny");
         // Injected panics are the point; keep their backtraces out of the log.
         showdown::hush_injected_panics();
         println!("== Chaos: fault injection vs the degradation ladder, every suite ==");
@@ -544,7 +542,6 @@ fn main() {
     }
 
     if cmd == "portfolio" {
-        let deny = args.iter().any(|a| a == "-D" || a == "--deny");
         println!("== Portfolio: ILP vs SAT vs heuristic, raced per loop ==");
         println!(
             "{:<12} {:>5} {:>4} {:>4} {:>4} {:>4} {:>7} {:>6} {:>9} {:>9} {:>9} {:>9}",
@@ -637,7 +634,6 @@ fn main() {
     }
 
     if cmd == "serve-chaos" {
-        let deny = args.iter().any(|a| a == "-D" || a == "--deny");
         println!("== Serve chaos: service-layer fault injection ==");
         println!("{:<28} {:>6}  detail", "scenario", "pass");
         let root = serve_root("chaos");
@@ -660,7 +656,6 @@ fn main() {
     }
 
     if cmd == "serve-smoke" {
-        let deny = args.iter().any(|a| a == "-D" || a == "--deny");
         println!("== Serve smoke: 8-client saturation + kill/restart warm-hit gate ==");
         let root = serve_root("smoke");
         let sat =
@@ -687,38 +682,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-
-    if cmd == "speedup" {
-        println!("== Parallel driver + schedule cache vs sequential reference ==");
-        println!("({} threads; figure set: fig2–fig7 + ii-compare)", threads);
-        println!(
-            "{:<12} {:>14} {:>14} {:>9} {:>7} {:>8} {:>9}",
-            "figure", "sequential", "parallel", "speedup", "hits", "misses", "hit rate"
-        );
-        let rows = driver_speedup(&m, effort, threads);
-        let mut seq_total = 0.0;
-        let mut par_total = 0.0;
-        for r in &rows {
-            seq_total += r.sequential.as_secs_f64();
-            par_total += r.parallel.as_secs_f64();
-            println!(
-                "{:<12} {:>13.3}s {:>13.3}s {:>8.2}x {:>7} {:>8} {:>8.0}%",
-                r.figure,
-                r.sequential.as_secs_f64(),
-                r.parallel.as_secs_f64(),
-                r.speedup(),
-                r.hits,
-                r.misses,
-                100.0 * r.hit_rate()
-            );
-        }
-        println!(
-            "end-to-end: sequential {:.3}s, parallel+cached {:.3}s — {:.2}x speedup",
-            seq_total,
-            par_total,
-            seq_total / par_total.max(1e-9)
-        );
     }
 }
 

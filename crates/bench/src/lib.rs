@@ -1,9 +1,10 @@
 //! Experiment implementations for every figure and table of the paper.
 //!
 //! Each `fig*`/`tab*` function returns structured data; the `experiments`
-//! binary renders them as the paper's rows, and the Criterion benches wrap
-//! the hot paths. See DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+//! binary renders them as the paper's rows. The figure functions take a
+//! [`Driver`]; pass `&Driver::uncached(1)` for a plain sequential run.
+//! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
+//! recorded paper-vs-measured outcomes.
 
 use showdown::{
     audit_suite_with, compare_with, geometric_mean, ladder_suite_with, run_suite_baseline_with,
@@ -22,7 +23,7 @@ use swp_sat::SatOptions;
 /// whole harness runs in CI time; `full` uses paper-scale settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Small budgets (tests, Criterion).
+    /// Small deterministic budgets (tests, CI gates).
     Quick,
     /// Paper-scale budgets (the experiments binary).
     Full,
@@ -34,24 +35,13 @@ impl Effort {
     /// `Quick` is **fully deterministic**: its budgets are node and pivot
     /// counts only, with every wall-clock limit disabled, so quick-effort
     /// results (tests, CI gates, the schedule cache) are identical on any
-    /// host at any load. `Full` keeps the paper's wall-clock regime —
-    /// results that truncate there carry `deadline_hit` and are not
-    /// memoized.
+    /// host at any load; they are the compile service's budgets,
+    /// [`swp_serve::quick_most_options`]. `Full` keeps the paper's
+    /// wall-clock regime — results that truncate there carry
+    /// `deadline_hit` and are not memoized.
     pub fn most_options(self) -> MostOptions {
         match self {
-            Effort::Quick => MostOptions {
-                node_limit: 20_000,
-                pivot_limit: 400_000,
-                time_limit: None,
-                loop_time_limit: None,
-                // The deterministic ladder cap: ~3 full solves' worth of
-                // pivots across all IIs tried for one loop, so a loop
-                // whose schedules keep failing allocation cannot grind
-                // through every II to MaxII at full budget.
-                loop_pivot_limit: Some(1_200_000),
-                max_ops: 64,
-                ..MostOptions::default()
-            },
+            Effort::Quick => swp_serve::quick_most_options(),
             Effort::Full => MostOptions {
                 node_limit: 2_000_000,
                 time_limit: Some(Duration::from_secs(10)),
@@ -63,18 +53,10 @@ impl Effort {
 
     /// SAT options for this effort level, same determinism contract as
     /// [`Effort::most_options`]: `Quick` is conflict/propagation-counted
-    /// only, `Full` keeps wall clocks.
+    /// only ([`swp_serve::quick_sat_options`]), `Full` keeps wall clocks.
     pub fn sat_options(self) -> SatOptions {
         match self {
-            Effort::Quick => SatOptions {
-                conflict_limit: 20_000,
-                propagation_limit: 2_000_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_conflict_limit: Some(60_000),
-                max_ops: 64,
-                ..SatOptions::default()
-            },
+            Effort::Quick => swp_serve::quick_sat_options(),
             Effort::Full => SatOptions {
                 conflict_limit: 2_000_000,
                 time_limit: Some(Duration::from_secs(10)),
@@ -103,13 +85,6 @@ fn scaled_suites(effort: Effort) -> Vec<Suite> {
     suites
 }
 
-/// A plain sequential, uncached driver — the reference configuration the
-/// `fig*` wrappers use, so their behavior matches the pre-driver harness
-/// exactly (every compile from scratch, suite order, one thread).
-fn reference_driver() -> Driver {
-    Driver::uncached(1)
-}
-
 /// One row of Figure 2: SPECmark-style ratio of baseline to pipelined
 /// time (pipelining speedup; > 1 means pipelining wins).
 #[derive(Debug, Clone)]
@@ -130,12 +105,8 @@ impl Fig2Row {
 }
 
 /// Figure 2: SPEC-like suites with pipelining enabled vs disabled.
-pub fn fig2(machine: &Machine, effort: Effort) -> Vec<Fig2Row> {
-    fig2_with(&reference_driver(), machine, effort)
-}
-
-/// [`fig2`] over a [`Driver`]: suites fan across the pool; each suite's
-/// inner loops run on a sequential view sharing the driver's cache.
+/// Suites fan across `driver`'s pool; each suite's inner loops run on a
+/// sequential view sharing the driver's cache.
 pub fn fig2_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig2Row> {
     let suites = scaled_suites(effort);
     driver.run_indexed(suites.len(), |i| {
@@ -171,22 +142,18 @@ pub struct Fig3Row {
 /// Figure 3: the effect of restricting to one scheduling heuristic.
 /// Loops the restricted pipeliner cannot handle fall back to the
 /// list-scheduled baseline, exactly as the production compiler would.
-pub fn fig3(machine: &Machine, effort: Effort) -> Vec<Fig3Row> {
-    fig3_with(&reference_driver(), machine, effort)
-}
-
-/// [`fig3`] over a [`Driver`].
 pub fn fig3_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig3Row> {
     use swp_sim::{simulate, simulate_baseline};
     let suites = scaled_suites(effort);
     driver.run_indexed(suites.len(), |si| {
         let suite = &suites[si];
         let inner = driver.sequential_view();
-        let suite_time = |choice: &SchedulerChoice| -> f64 {
+        let suite_time = |choice: SchedulerChoice| -> f64 {
+            let options = CompileOptions::from(choice);
             let cycles: Vec<f64> = suite
                 .loops
                 .iter()
-                .map(|wl| match inner.compile(&wl.body, machine, choice) {
+                .map(|wl| match inner.compile_with(&wl.body, machine, &options) {
                     Ok(c) => simulate(&c.code, wl.trip, machine).cycles as f64,
                     Err(_) => {
                         let base = showdown::compile_baseline(&wl.body, machine);
@@ -196,14 +163,14 @@ pub fn fig3_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig3
                 .collect();
             suite.aggregate_time(&cycles)
         };
-        let all = suite_time(&SchedulerChoice::Heuristic);
+        let all = suite_time(SchedulerChoice::Heuristic);
         let mut ratios = [0.0f64; 4];
         for (i, h) in PriorityHeuristic::ALL.iter().enumerate() {
             let opts = HeurOptions {
                 heuristics: vec![*h],
                 ..HeurOptions::default()
             };
-            ratios[i] = all / suite_time(&SchedulerChoice::HeuristicWith(opts));
+            ratios[i] = all / suite_time(SchedulerChoice::HeuristicWith(opts));
         }
         Fig3Row {
             name: suite.name.to_owned(),
@@ -223,11 +190,6 @@ pub struct Fig4Row {
 }
 
 /// Figure 4: memory-bank heuristic on vs off.
-pub fn fig4(machine: &Machine, effort: Effort) -> Vec<Fig4Row> {
-    fig4_with(&reference_driver(), machine, effort)
-}
-
-/// [`fig4`] over a [`Driver`].
 pub fn fig4_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig4Row> {
     let suites = scaled_suites(effort);
     driver.run_indexed(suites.len(), |i| {
@@ -272,15 +234,12 @@ pub struct Fig5Row {
 }
 
 /// Figure 5: the showdown — ILP vs heuristic on the SPEC-like suites.
-pub fn fig5(machine: &Machine, effort: Effort) -> Vec<Fig5Row> {
-    fig5_with(&reference_driver(), machine, effort)
-}
-
-/// [`fig5`] over a [`Driver`]. The per-loop fallback recount recompiles
-/// every loop with the same MOST options as the suite run, so under a
-/// caching driver that whole pass is served from the cache.
+/// The per-loop fallback recount recompiles every loop with the same MOST
+/// options as the suite run, so under a caching driver that whole pass
+/// is served from the cache.
 pub fn fig5_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig5Row> {
     let most = SchedulerChoice::IlpWith(effort.most_options());
+    let most_options = CompileOptions::from(most.clone());
     let suites = scaled_suites(effort);
     driver.run_indexed(suites.len(), |i| {
         let suite = &suites[i];
@@ -305,7 +264,7 @@ pub fn fig5_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig5
         // Count fallbacks by recompiling each loop individually.
         let mut fallbacks = 0usize;
         for wl in &suite.loops {
-            if let Ok(c) = inner.compile(&wl.body, machine, &most) {
+            if let Ok(c) = inner.compile_with(&wl.body, machine, &most_options) {
                 fallbacks += usize::from(c.stats.fell_back);
             }
         }
@@ -340,12 +299,8 @@ pub struct LivermoreRow {
     pub ilp_fell_back: bool,
 }
 
-/// Figures 6 and 7: per-Livermore-kernel comparison.
-pub fn fig6_fig7(machine: &Machine, effort: Effort) -> Vec<LivermoreRow> {
-    fig6_fig7_with(&reference_driver(), machine, effort)
-}
-
-/// [`fig6_fig7`] over a [`Driver`]: kernels fan across the pool.
+/// Figures 6 and 7: per-Livermore-kernel comparison; kernels fan across
+/// `driver`'s pool.
 pub fn fig6_fig7_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<LivermoreRow> {
     let most = SchedulerChoice::IlpWith(effort.most_options());
     let kernels = livermore();
@@ -480,19 +435,20 @@ pub struct IiCompare {
     pub ilp_wins_after_budget_increase: u32,
 }
 
-/// Table (§5.0): II comparison over Livermore + suite loops.
-pub fn ii_compare(machine: &Machine, effort: Effort) -> IiCompare {
-    ii_compare_with(&reference_driver(), machine, effort)
-}
-
-/// [`ii_compare`] over a [`Driver`]. The MOST compiles use the same
-/// options as Figure 5 (and the same loops), so in a shared-cache run
-/// the entire suite-loop sweep is served from the cache; loops where
-/// MOST fell back to the heuristic are excluded from the comparison,
-/// which is equivalent to the fallback-disabled sweep (a fallback result
-/// carries the heuristic's II, not MOST's).
+/// Table (§5.0): II comparison over Livermore + suite loops. The MOST
+/// compiles use the same options as Figure 5 (and the same loops), so in
+/// a shared-cache run the entire suite-loop sweep is served from the
+/// cache; loops where MOST fell back to the heuristic are excluded from
+/// the comparison, which is equivalent to the fallback-disabled sweep (a
+/// fallback result carries the heuristic's II, not MOST's).
 pub fn ii_compare_with(driver: &Driver, machine: &Machine, effort: Effort) -> IiCompare {
-    let most = SchedulerChoice::IlpWith(effort.most_options());
+    let heur = CompileOptions::from(SchedulerChoice::Heuristic);
+    let most = CompileOptions::from(SchedulerChoice::IlpWith(effort.most_options()));
+    let big = CompileOptions::from(SchedulerChoice::HeuristicWith(HeurOptions {
+        // 16× the default backtrack budget.
+        backtrack_budget: 6400,
+        ..HeurOptions::default()
+    }));
     let mut loops: Vec<swp_ir::Loop> = livermore().into_iter().map(|k| k.body).collect();
     loops.extend(
         spec_suites()
@@ -501,10 +457,10 @@ pub fn ii_compare_with(driver: &Driver, machine: &Machine, effort: Effort) -> Ii
     );
     let per_loop = driver.run_indexed(loops.len(), |li| {
         let lp = &loops[li];
-        let Ok(h) = driver.compile(lp, machine, &SchedulerChoice::Heuristic) else {
+        let Ok(h) = driver.compile_with(lp, machine, &heur) else {
             return None;
         };
-        let Ok(i) = driver.compile(lp, machine, &most) else {
+        let Ok(i) = driver.compile_with(lp, machine, &most) else {
             return None;
         };
         if i.stats.fell_back {
@@ -512,16 +468,10 @@ pub fn ii_compare_with(driver: &Driver, machine: &Machine, effort: Effort) -> Ii
         }
         let mut won_after_increase = false;
         if i.stats.ii < h.stats.ii {
-            // Retry with 16× backtrack budget.
-            let big = HeurOptions {
-                backtrack_budget: 6400,
-                ..HeurOptions::default()
+            won_after_increase = match driver.compile_with(lp, machine, &big) {
+                Ok(h2) => h2.stats.ii > i.stats.ii,
+                Err(_) => true,
             };
-            won_after_increase =
-                match driver.compile(lp, machine, &SchedulerChoice::HeuristicWith(big)) {
-                    Ok(h2) => h2.stats.ii > i.stats.ii,
-                    Err(_) => true,
-                };
         }
         Some((i.stats.ii.cmp(&h.stats.ii), won_after_increase))
     });
@@ -537,118 +487,6 @@ pub fn ii_compare_with(driver: &Driver, machine: &Machine, effort: Effort) -> Ii
         }
     }
     out
-}
-
-/// One figure's wall-clock under the sequential reference harness and
-/// under the parallel cached [`Driver`].
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    /// Figure name.
-    pub figure: &'static str,
-    /// Wall-clock of the sequential, uncached reference path.
-    pub sequential: Duration,
-    /// Wall-clock under the shared-cache parallel driver.
-    pub parallel: Duration,
-    /// Cache hits this figure contributed.
-    pub hits: u64,
-    /// Cache misses this figure contributed.
-    pub misses: u64,
-}
-
-impl SpeedupRow {
-    /// Sequential / parallel wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        self.sequential.as_secs_f64() / self.parallel.as_secs_f64().max(1e-9)
-    }
-
-    /// Cache hits as a fraction of this figure's requests.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Measure the experiment pipeline end-to-end twice — once on the plain
-/// sequential path (every figure recompiles from scratch, exactly as the
-/// pre-driver harness did) and once on a shared-cache driver with the
-/// given thread count — and report per-figure wall-clock and cache
-/// counters. The figure set is the paper's result figures plus the §5.0
-/// II comparison; the compile-*time* tables (§4.7, loop-size) are
-/// excluded because memoizing a stopwatch measurement would be lying.
-///
-/// The driver pass runs Figure 5 first: it is by far the most expensive
-/// figure and compiles every suite loop under every configuration the
-/// cheaper figures need, so running it first lets the rest of the
-/// pipeline reuse its work. The sequential reference keeps the display
-/// order; per-figure totals are order-independent on that path because
-/// nothing is shared.
-pub fn driver_speedup(machine: &Machine, effort: Effort, threads: usize) -> Vec<SpeedupRow> {
-    let reference = reference_driver();
-    let driver = Driver::new(threads);
-    type FigFn<'a> = Box<dyn Fn(&Driver) + 'a>;
-    let mut figures: Vec<(&'static str, FigFn)> = vec![
-        (
-            "fig2",
-            Box::new(|d: &Driver| drop(fig2_with(d, machine, effort))),
-        ),
-        (
-            "fig3",
-            Box::new(|d: &Driver| drop(fig3_with(d, machine, effort))),
-        ),
-        (
-            "fig4",
-            Box::new(|d: &Driver| drop(fig4_with(d, machine, effort))),
-        ),
-        (
-            "fig5",
-            Box::new(|d: &Driver| drop(fig5_with(d, machine, effort))),
-        ),
-        (
-            "fig6_7",
-            Box::new(|d: &Driver| drop(fig6_fig7_with(d, machine, effort))),
-        ),
-        (
-            "ii_compare",
-            Box::new(|d: &Driver| {
-                let _ = ii_compare_with(d, machine, effort);
-            }),
-        ),
-    ];
-    let mut rows: Vec<SpeedupRow> = figures
-        .iter()
-        .map(|(figure, f)| {
-            let t0 = Instant::now();
-            f(&reference);
-            SpeedupRow {
-                figure,
-                sequential: t0.elapsed(),
-                parallel: Duration::ZERO,
-                hits: 0,
-                misses: 0,
-            }
-        })
-        .collect();
-    // Driver pass, most-expensive-first (see above).
-    figures.sort_by_key(|(name, _)| *name != "fig5");
-    for (figure, f) in &figures {
-        let before = driver.cache_stats();
-        let t0 = Instant::now();
-        f(&driver);
-        let parallel = t0.elapsed();
-        let after = driver.cache_stats();
-        let row = rows
-            .iter_mut()
-            .find(|r| r.figure == *figure)
-            .expect("same figure set");
-        row.parallel = parallel;
-        row.hits = after.hits - before.hits;
-        row.misses = after.misses - before.misses;
-    }
-    rows
 }
 
 /// One row of the `experiments audit` table: one suite under one
@@ -912,12 +750,6 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
         )
     }));
 
-    let options = |choice: SchedulerChoice| CompileOptions {
-        choice,
-        verify: VerifyLevel::Off,
-        opt: OptLevel::Off,
-        telemetry: Telemetry::disabled(),
-    };
     let race = SchedulerChoice::PortfolioWith(Box::new(showdown::PortfolioOptions {
         most: Effort::Quick.most_options(),
         sat: Effort::Quick.sat_options(),
@@ -946,7 +778,7 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
                 let mut timed =
                     |choice: SchedulerChoice, wall: fn(&mut PortfolioRow) -> &mut Duration| {
                         let t0 = Instant::now();
-                        let r = driver.compile_with(lp, machine, &options(choice));
+                        let r = driver.compile_with(lp, machine, &CompileOptions::from(choice));
                         *wall(&mut row) += t0.elapsed();
                         r
                     };
@@ -1898,7 +1730,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "integration-scale; run with --release")]
     fn fig2_shape_pipelining_wins_big() {
         let m = Machine::r8000();
-        let rows = fig2(&m, Effort::Quick);
+        let rows = fig2_with(&Driver::uncached(1), &m, Effort::Quick);
         assert_eq!(rows.len(), 14);
         let g = fig2_geomean(&rows);
         // Paper: >35% overall improvement. Shape check: well above 1.3.
@@ -1917,7 +1749,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "integration-scale; run with --release")]
     fn fig4_shape_alvinn_benefits_most() {
         let m = Machine::r8000();
-        let rows = fig4(&m, Effort::Quick);
+        let rows = fig4_with(&Driver::uncached(1), &m, Effort::Quick);
         let alvinn = rows.iter().find(|r| r.name == "alvinn").expect("present");
         assert!(
             alvinn.improvement > 1.05,

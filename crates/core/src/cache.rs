@@ -37,6 +37,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use crate::compile::{
     compile_loop_with, CompileError, CompileOptions, CompiledLoop, SchedulerChoice,
@@ -153,38 +154,68 @@ fn fold_machine(h: &mut StableHasher, machine: &Machine) {
     }
 }
 
-fn fold_heur_options(h: &mut StableHasher, opts: &HeurOptions) {
-    h.byte(b'H');
-    h.u64(opts.heuristics.len() as u64);
-    for &heur in &opts.heuristics {
-        h.u64(heur as u64);
-    }
-    h.u64(u64::from(opts.backtrack_budget));
-    h.bool(opts.bank_pairing);
-    h.u64(u64::from(opts.max_ii_factor));
-    h.bool(opts.enable_spilling);
-    h.bool(opts.two_phase_search);
-    h.bool(opts.explore_stalls);
+// Every `fold_*` below destructures its options struct exhaustively, so
+// a new field that is neither keyed nor explicitly excluded (`cancel: _`)
+// fails to compile instead of silently aliasing cache entries.
+
+/// A wall-clock budget as nanoseconds, saturating.
+fn nanos(d: Option<Duration>) -> Option<u64> {
+    d.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
 }
 
+/// Every heuristic knob. The cancel token is deliberately excluded, as
+/// for the optimal backends (see [`fold_sat_options`]).
+fn fold_heur_options(h: &mut StableHasher, opts: &HeurOptions) {
+    let HeurOptions {
+        heuristics,
+        backtrack_budget,
+        bank_pairing,
+        max_ii_factor,
+        enable_spilling,
+        two_phase_search,
+        explore_stalls,
+        cancel: _,
+    } = opts;
+    h.byte(b'H');
+    h.u64(heuristics.len() as u64);
+    for &heur in heuristics {
+        h.u64(heur as u64);
+    }
+    h.u64(u64::from(*backtrack_budget));
+    h.bool(*bank_pairing);
+    h.u64(u64::from(*max_ii_factor));
+    h.bool(*enable_spilling);
+    h.bool(*two_phase_search);
+    h.bool(*explore_stalls);
+}
+
+/// Every MOST knob; the cancel token is excluded (see
+/// [`fold_sat_options`]).
 fn fold_most_options(h: &mut StableHasher, opts: &MostOptions) {
+    let MostOptions {
+        minimize_buffers,
+        node_limit,
+        pivot_limit,
+        time_limit,
+        use_priority_orders,
+        max_ii_factor,
+        fallback,
+        loop_time_limit,
+        loop_pivot_limit,
+        max_ops,
+        cancel: _,
+    } = opts;
     h.byte(b'M');
-    h.bool(opts.minimize_buffers);
-    h.u64(opts.node_limit);
-    h.u64(opts.pivot_limit);
-    h.opt_u64(
-        opts.time_limit
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    h.bool(opts.use_priority_orders);
-    h.u64(u64::from(opts.max_ii_factor));
-    h.bool(opts.fallback);
-    h.opt_u64(
-        opts.loop_time_limit
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    h.opt_u64(opts.loop_pivot_limit);
-    h.u64(opts.max_ops as u64);
+    h.bool(*minimize_buffers);
+    h.u64(*node_limit);
+    h.u64(*pivot_limit);
+    h.opt_u64(nanos(*time_limit));
+    h.bool(*use_priority_orders);
+    h.u64(u64::from(*max_ii_factor));
+    h.bool(*fallback);
+    h.opt_u64(nanos(*loop_time_limit));
+    h.opt_u64(*loop_pivot_limit);
+    h.u64(*max_ops as u64);
 }
 
 /// Every deterministic SAT knob; the cancel token is deliberately
@@ -192,36 +223,53 @@ fn fold_most_options(h: &mut StableHasher, opts: &MostOptions) {
 /// *completed* compile produced, and truncated results are never
 /// memoized anyway — see [`is_transient`]).
 fn fold_sat_options(h: &mut StableHasher, opts: &SatOptions) {
+    let SatOptions {
+        conflict_limit,
+        propagation_limit,
+        time_limit,
+        max_ii_factor,
+        fallback,
+        loop_time_limit,
+        loop_conflict_limit,
+        max_ops,
+        cancel: _,
+    } = opts;
     h.byte(b'S');
-    h.u64(opts.conflict_limit);
-    h.u64(opts.propagation_limit);
-    h.opt_u64(
-        opts.time_limit
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    h.u64(u64::from(opts.max_ii_factor));
-    h.bool(opts.fallback);
-    h.opt_u64(
-        opts.loop_time_limit
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    h.opt_u64(opts.loop_conflict_limit);
-    h.u64(opts.max_ops as u64);
+    h.u64(*conflict_limit);
+    h.u64(*propagation_limit);
+    h.opt_u64(nanos(*time_limit));
+    h.u64(u64::from(*max_ii_factor));
+    h.bool(*fallback);
+    h.opt_u64(nanos(*loop_time_limit));
+    h.opt_u64(*loop_conflict_limit);
+    h.u64(*max_ops as u64);
 }
 
 fn fold_portfolio_options(h: &mut StableHasher, opts: &PortfolioOptions) {
+    let PortfolioOptions {
+        use_ilp,
+        use_sat,
+        use_heur,
+        most,
+        sat,
+        heur,
+    } = opts;
     h.byte(b'P');
-    h.bool(opts.use_ilp);
-    h.bool(opts.use_sat);
-    h.bool(opts.use_heur);
-    fold_most_options(h, &opts.most);
-    fold_sat_options(h, &opts.sat);
-    fold_heur_options(h, &opts.heur);
+    h.bool(*use_ilp);
+    h.bool(*use_sat);
+    h.bool(*use_heur);
+    fold_most_options(h, most);
+    fold_sat_options(h, sat);
+    fold_heur_options(h, heur);
 }
 
 fn fold_chaos(h: &mut StableHasher, chaos: &ChaosOptions) {
+    let ChaosOptions {
+        faults,
+        panic_in_flight,
+    } = chaos;
     h.byte(b'C');
-    for f in &chaos.faults {
+    for f in faults {
         h.byte(match f {
             None => 0,
             Some(ChaosFault::Panic) => 1,
@@ -231,22 +279,31 @@ fn fold_chaos(h: &mut StableHasher, chaos: &ChaosOptions) {
             Some(ChaosFault::Corrupt(Corruption::TamperedExpansion)) => 5,
         });
     }
-    h.bool(chaos.panic_in_flight);
+    h.bool(*panic_in_flight);
 }
 
 fn fold_ladder_options(h: &mut StableHasher, opts: &LadderOptions) {
+    let LadderOptions {
+        most,
+        sat,
+        heur,
+        escalation_rounds,
+        gate,
+        start_rung,
+        chaos,
+    } = opts;
     h.byte(b'L');
-    fold_most_options(h, &opts.most);
-    fold_sat_options(h, &opts.sat);
-    fold_heur_options(h, &opts.heur);
-    h.u64(u64::from(opts.escalation_rounds));
+    fold_most_options(h, most);
+    fold_sat_options(h, sat);
+    fold_heur_options(h, heur);
+    h.u64(u64::from(*escalation_rounds));
     // A demoted (lower-start) compile is a different artifact from a full
     // ladder run and must never alias one — overload demotion would
     // otherwise poison the cache (and the disk store) for quiet requests.
     h.byte(b'R');
-    h.byte(opts.start_rung.index() as u8);
+    h.byte(start_rung.index() as u8);
     h.byte(b'G');
-    h.byte(match opts.gate {
+    h.byte(match gate {
         VerifyLevel::Off => 0,
         VerifyLevel::Schedule => 1,
         VerifyLevel::Full => 2,
@@ -255,7 +312,7 @@ fn fold_ladder_options(h: &mut StableHasher, opts: &LadderOptions) {
     // demotions, its rung trace, possibly its gate rejections) must never
     // be served to — or pollute the memoized entry of — a quiet request
     // for the same loop.
-    fold_chaos(h, &opts.chaos);
+    fold_chaos(h, chaos);
 }
 
 fn fold_choice(h: &mut StableHasher, choice: &SchedulerChoice) {
@@ -293,13 +350,7 @@ fn fold_opt(h: &mut StableHasher, level: OptLevel) {
     });
 }
 
-/// Compute the cache key for one compile request (verification off).
-pub fn cache_key(lp: &Loop, machine: &Machine, choice: &SchedulerChoice) -> u64 {
-    cache_key_with(lp, machine, &CompileOptions::from(choice.clone()))
-}
-
-/// Compute the cache key for one compile request with full options. The
-/// verify level is part of the key: a verified entry carries its audit
+/// Compute the cache key for one compile request. The verify level is part of the key: a verified entry carries its audit
 /// report, so it must not be served to an unverified request (and vice
 /// versa — an `Off` entry has no report to serve).
 ///
@@ -412,24 +463,9 @@ impl ScheduleCache {
         ScheduleCache::default()
     }
 
-    /// Compile `lp` with `choice`, or return the memoized result of an
+    /// Compile `lp` with `options`, or return the memoized result of an
     /// identical earlier request. Concurrent requests for the same key
-    /// block until the first finishes and then share its result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and memoizes) [`CompileError`] from the underlying
-    /// compile.
-    pub fn get_or_compile(
-        &self,
-        lp: &Loop,
-        machine: &Machine,
-        choice: &SchedulerChoice,
-    ) -> Result<Arc<CompiledLoop>, CompileError> {
-        self.get_or_compile_with(lp, machine, &CompileOptions::from(choice.clone()))
-    }
-
-    /// [`Self::get_or_compile`] with full [`CompileOptions`]: verified
+    /// block until the first finishes and then share its result. Verified
     /// compiles are memoized *with* their audit report attached, under a
     /// key that includes the verify level.
     ///
@@ -549,6 +585,21 @@ mod tests {
     use super::*;
     use swp_ir::LoopBuilder;
 
+    /// The cache key of `choice` at default verify and opt levels.
+    fn key(lp: &Loop, m: &Machine, choice: &SchedulerChoice) -> u64 {
+        cache_key_with(lp, m, &CompileOptions::from(choice.clone()))
+    }
+
+    /// `get_or_compile_with` at default verify and opt levels.
+    fn get(
+        cache: &ScheduleCache,
+        lp: &Loop,
+        m: &Machine,
+        choice: &SchedulerChoice,
+    ) -> Result<Arc<CompiledLoop>, CompileError> {
+        cache.get_or_compile_with(lp, m, &CompileOptions::from(choice.clone()))
+    }
+
     fn saxpy(name: &str) -> Loop {
         let mut b = LoopBuilder::new(name);
         let a = b.invariant_f("a");
@@ -566,12 +617,8 @@ mod tests {
         let m = Machine::r8000();
         let cache = ScheduleCache::new();
         let lp = saxpy("s");
-        let a = cache
-            .get_or_compile(&lp, &m, &SchedulerChoice::Heuristic)
-            .expect("compiles");
-        let b = cache
-            .get_or_compile(&lp, &m, &SchedulerChoice::Heuristic)
-            .expect("compiles");
+        let a = get(&cache, &lp, &m, &SchedulerChoice::Heuristic).expect("compiles");
+        let b = get(&cache, &lp, &m, &SchedulerChoice::Heuristic).expect("compiles");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
@@ -581,16 +628,13 @@ mod tests {
     fn key_ignores_debug_names_but_not_structure() {
         let m = Machine::r8000();
         let c = SchedulerChoice::Heuristic;
-        assert_eq!(
-            cache_key(&saxpy("a"), &m, &c),
-            cache_key(&saxpy("b"), &m, &c)
-        );
+        assert_eq!(key(&saxpy("a"), &m, &c), key(&saxpy("b"), &m, &c));
         let mut b = LoopBuilder::new("other");
         let x = b.array("x", 8);
         let v = b.load(x, 0, 8);
         b.store(x, 800, 8, v);
         let other = b.finish();
-        assert_ne!(cache_key(&saxpy("a"), &m, &c), cache_key(&other, &m, &c));
+        assert_ne!(key(&saxpy("a"), &m, &c), key(&other, &m, &c));
     }
 
     #[test]
@@ -598,20 +642,20 @@ mod tests {
         let m = Machine::r8000();
         let lp = saxpy("s");
         assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic),
-            cache_key(
+            key(&lp, &m, &SchedulerChoice::Heuristic),
+            key(
                 &lp,
                 &m,
                 &SchedulerChoice::HeuristicWith(HeurOptions::default())
             )
         );
         assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Ilp),
-            cache_key(&lp, &m, &SchedulerChoice::IlpWith(MostOptions::default()))
+            key(&lp, &m, &SchedulerChoice::Ilp),
+            key(&lp, &m, &SchedulerChoice::IlpWith(MostOptions::default()))
         );
         assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic),
-            cache_key(&lp, &m, &SchedulerChoice::Ilp)
+            key(&lp, &m, &SchedulerChoice::Heuristic),
+            key(&lp, &m, &SchedulerChoice::Ilp)
         );
     }
 
@@ -624,13 +668,13 @@ mod tests {
             ..HeurOptions::default()
         };
         assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic),
-            cache_key(&lp, &m, &SchedulerChoice::HeuristicWith(tweaked))
+            key(&lp, &m, &SchedulerChoice::Heuristic),
+            key(&lp, &m, &SchedulerChoice::HeuristicWith(tweaked))
         );
         let unbanked = Machine::r8000_unbanked();
         assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic),
-            cache_key(&lp, &unbanked, &SchedulerChoice::Heuristic)
+            key(&lp, &m, &SchedulerChoice::Heuristic),
+            key(&lp, &unbanked, &SchedulerChoice::Heuristic)
         );
     }
 
@@ -642,11 +686,7 @@ mod tests {
         let results: Vec<Arc<CompiledLoop>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    s.spawn(|| {
-                        cache
-                            .get_or_compile(&lp, &m, &SchedulerChoice::Heuristic)
-                            .expect("compiles")
-                    })
+                    s.spawn(|| get(&cache, &lp, &m, &SchedulerChoice::Heuristic).expect("compiles"))
                 })
                 .collect();
             handles
@@ -676,7 +716,7 @@ mod tests {
             cache_key_with(&lp, &m, &off),
             cache_key_with(&lp, &m, &full)
         );
-        assert_eq!(cache_key(&lp, &m, &SchedulerChoice::Heuristic), {
+        assert_eq!(key(&lp, &m, &SchedulerChoice::Heuristic), {
             cache_key_with(&lp, &m, &off)
         });
         let cache = ScheduleCache::new();
@@ -684,9 +724,7 @@ mod tests {
         assert!(a.audit.as_ref().is_some_and(|r| r.is_clean()));
         let b = cache.get_or_compile_with(&lp, &m, &full).expect("compiles");
         assert!(Arc::ptr_eq(&a, &b), "verified entry is shared");
-        let plain = cache
-            .get_or_compile(&lp, &m, &SchedulerChoice::Heuristic)
-            .expect("compiles");
+        let plain = get(&cache, &lp, &m, &SchedulerChoice::Heuristic).expect("compiles");
         assert!(plain.audit.is_none(), "unverified request compiled fresh");
         assert_eq!(cache.len(), 2);
     }
@@ -738,8 +776,8 @@ mod tests {
             b.finish()
         };
         assert_ne!(
-            cache_key(&mk(2.0), &m, &SchedulerChoice::Heuristic),
-            cache_key(&mk(4.0), &m, &SchedulerChoice::Heuristic),
+            key(&mk(2.0), &m, &SchedulerChoice::Heuristic),
+            key(&mk(4.0), &m, &SchedulerChoice::Heuristic),
             "loops differing only in a constant must not share a key"
         );
     }
@@ -813,8 +851,8 @@ mod tests {
             fallback: false,
             ..MostOptions::default()
         });
-        let first = cache.get_or_compile(&empty, &m, &choice);
-        let second = cache.get_or_compile(&empty, &m, &choice);
+        let first = get(&cache, &empty, &m, &choice);
+        let second = get(&cache, &empty, &m, &choice);
         assert!(first.is_err());
         assert_eq!(first.err(), second.err());
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
@@ -834,8 +872,8 @@ mod tests {
             fallback: false,
             ..MostOptions::default()
         });
-        let first = cache.get_or_compile(&lp, &m, &choice);
-        let second = cache.get_or_compile(&lp, &m, &choice);
+        let first = get(&cache, &lp, &m, &choice);
+        let second = get(&cache, &lp, &m, &choice);
         for r in [&first, &second] {
             assert!(
                 matches!(
@@ -870,10 +908,10 @@ mod tests {
             fallback: true,
             ..MostOptions::default()
         });
-        let first = cache.get_or_compile(&lp, &m, &choice).expect("fallback");
+        let first = get(&cache, &lp, &m, &choice).expect("fallback");
         assert!(first.stats.deadline_hit);
         assert!(first.stats.fell_back);
-        let second = cache.get_or_compile(&lp, &m, &choice).expect("fallback");
+        let second = get(&cache, &lp, &m, &choice).expect("fallback");
         assert!(!Arc::ptr_eq(&first, &second), "second request recompiled");
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
         assert!(cache.is_empty());
@@ -894,9 +932,9 @@ mod tests {
             fallback: true,
             ..MostOptions::default()
         });
-        let first = cache.get_or_compile(&lp, &m, &choice).expect("schedules");
+        let first = get(&cache, &lp, &m, &choice).expect("schedules");
         assert!(!first.stats.deadline_hit);
-        let second = cache.get_or_compile(&lp, &m, &choice).expect("schedules");
+        let second = get(&cache, &lp, &m, &choice).expect("schedules");
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
@@ -910,16 +948,16 @@ mod tests {
             ..MostOptions::default()
         };
         assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Ilp),
-            cache_key(&lp, &m, &SchedulerChoice::IlpWith(tweaked))
+            key(&lp, &m, &SchedulerChoice::Ilp),
+            key(&lp, &m, &SchedulerChoice::IlpWith(tweaked))
         );
         let loop_tweaked = MostOptions {
             loop_pivot_limit: Some(1234),
             ..MostOptions::default()
         };
         assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Ilp),
-            cache_key(&lp, &m, &SchedulerChoice::IlpWith(loop_tweaked))
+            key(&lp, &m, &SchedulerChoice::Ilp),
+            key(&lp, &m, &SchedulerChoice::IlpWith(loop_tweaked))
         );
     }
 
@@ -930,30 +968,30 @@ mod tests {
         // `Ladder` and an explicit default share a key; the ladder is a
         // distinct request from either direct scheduler.
         assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &SchedulerChoice::LadderWith(Box::default()))
+            key(&lp, &m, &SchedulerChoice::Ladder),
+            key(&lp, &m, &SchedulerChoice::LadderWith(Box::default()))
         );
         assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &SchedulerChoice::Ilp)
+            key(&lp, &m, &SchedulerChoice::Ladder),
+            key(&lp, &m, &SchedulerChoice::Ilp)
         );
         assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic)
+            key(&lp, &m, &SchedulerChoice::Ladder),
+            key(&lp, &m, &SchedulerChoice::Heuristic)
         );
         // Every knob separates: escalation rounds, gate level, and each
         // distinct chaos plan gets its own entry.
-        let quiet = cache_key(&lp, &m, &SchedulerChoice::Ladder);
+        let quiet = key(&lp, &m, &SchedulerChoice::Ladder);
         let rounds = SchedulerChoice::LadderWith(Box::new(LadderOptions {
             escalation_rounds: 5,
             ..LadderOptions::default()
         }));
-        assert_ne!(quiet, cache_key(&lp, &m, &rounds));
+        assert_ne!(quiet, key(&lp, &m, &rounds));
         let gate_off = SchedulerChoice::LadderWith(Box::new(LadderOptions {
             gate: VerifyLevel::Off,
             ..LadderOptions::default()
         }));
-        assert_ne!(quiet, cache_key(&lp, &m, &gate_off));
+        assert_ne!(quiet, key(&lp, &m, &gate_off));
         let mut chaos_keys = vec![quiet];
         for fault in [
             ChaosFault::Panic,
@@ -966,7 +1004,7 @@ mod tests {
                 chaos: ChaosOptions::default().with_fault(crate::ladder::Rung::Ilp, fault),
                 ..LadderOptions::default()
             }));
-            chaos_keys.push(cache_key(&lp, &m, &choice));
+            chaos_keys.push(key(&lp, &m, &choice));
         }
         let in_flight = SchedulerChoice::LadderWith(Box::new(LadderOptions {
             chaos: ChaosOptions {
@@ -975,7 +1013,7 @@ mod tests {
             },
             ..LadderOptions::default()
         }));
-        chaos_keys.push(cache_key(&lp, &m, &in_flight));
+        chaos_keys.push(key(&lp, &m, &in_flight));
         let distinct: std::collections::HashSet<u64> = chaos_keys.iter().copied().collect();
         assert_eq!(
             distinct.len(),
@@ -990,27 +1028,27 @@ mod tests {
         let lp = saxpy("s");
         // Defaults and explicit defaults alias within a backend…
         assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Sat),
-            cache_key(&lp, &m, &SchedulerChoice::SatWith(SatOptions::default()))
+            key(&lp, &m, &SchedulerChoice::Sat),
+            key(&lp, &m, &SchedulerChoice::SatWith(SatOptions::default()))
         );
         assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Portfolio),
-            cache_key(&lp, &m, &SchedulerChoice::PortfolioWith(Box::default()))
+            key(&lp, &m, &SchedulerChoice::Portfolio),
+            key(&lp, &m, &SchedulerChoice::PortfolioWith(Box::default()))
         );
         // …but every backend family keys separately: a SAT or portfolio
         // record must never be served to (or overwrite) a heuristic, ILP,
         // or ladder request for the same loop.
         let keys = [
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic),
-            cache_key(&lp, &m, &SchedulerChoice::Ilp),
-            cache_key(&lp, &m, &SchedulerChoice::Sat),
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &SchedulerChoice::Portfolio),
+            key(&lp, &m, &SchedulerChoice::Heuristic),
+            key(&lp, &m, &SchedulerChoice::Ilp),
+            key(&lp, &m, &SchedulerChoice::Sat),
+            key(&lp, &m, &SchedulerChoice::Ladder),
+            key(&lp, &m, &SchedulerChoice::Portfolio),
         ];
         let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
         assert_eq!(distinct.len(), keys.len(), "backend families collided");
         // Every deterministic SAT knob separates…
-        let base = cache_key(&lp, &m, &SchedulerChoice::Sat);
+        let base = key(&lp, &m, &SchedulerChoice::Sat);
         for tweaked in [
             SatOptions {
                 conflict_limit: 1234,
@@ -1032,7 +1070,7 @@ mod tests {
         ] {
             assert_ne!(
                 base,
-                cache_key(&lp, &m, &SchedulerChoice::SatWith(tweaked.clone())),
+                key(&lp, &m, &SchedulerChoice::SatWith(tweaked.clone())),
                 "{tweaked:?} aliased the default"
             );
         }
@@ -1041,7 +1079,7 @@ mod tests {
         let token = swp_obs::CancelToken::new();
         assert_eq!(
             base,
-            cache_key(
+            key(
                 &lp,
                 &m,
                 &SchedulerChoice::SatWith(SatOptions {
@@ -1051,7 +1089,7 @@ mod tests {
             )
         );
         // Portfolio backend subsets and racer budgets separate too.
-        let pbase = cache_key(&lp, &m, &SchedulerChoice::Portfolio);
+        let pbase = key(&lp, &m, &SchedulerChoice::Portfolio);
         for tweaked in [
             PortfolioOptions {
                 use_sat: false,
@@ -1071,7 +1109,7 @@ mod tests {
         ] {
             assert_ne!(
                 pbase,
-                cache_key(&lp, &m, &SchedulerChoice::PortfolioWith(Box::new(tweaked)))
+                key(&lp, &m, &SchedulerChoice::PortfolioWith(Box::new(tweaked)))
             );
         }
         // The ladder's SAT rung budgets are part of the ladder key.
@@ -1083,8 +1121,8 @@ mod tests {
             ..LadderOptions::default()
         }));
         assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &sat_tweaked_ladder)
+            key(&lp, &m, &SchedulerChoice::Ladder),
+            key(&lp, &m, &sat_tweaked_ladder)
         );
     }
 
@@ -1097,9 +1135,7 @@ mod tests {
             let x = b.array("x", 8);
             let v = b.load(x, i, 8);
             b.store(x, i + 64, 8, v);
-            cache
-                .get_or_compile(&b.finish(), &m, &SchedulerChoice::Heuristic)
-                .expect("compiles");
+            get(&cache, &b.finish(), &m, &SchedulerChoice::Heuristic).expect("compiles");
         }
         assert_eq!(cache.len(), 5);
         cache.clear();
@@ -1111,18 +1147,18 @@ mod tests {
     fn start_rung_is_part_of_the_key() {
         let m = Machine::r8000();
         let lp = saxpy("s");
-        let quiet = cache_key(&lp, &m, &SchedulerChoice::Ladder);
+        let quiet = key(&lp, &m, &SchedulerChoice::Ladder);
         for level in [1, 2] {
             let demoted =
                 SchedulerChoice::LadderWith(Box::new(LadderOptions::default().demoted(level)));
             assert_ne!(
                 quiet,
-                cache_key(&lp, &m, &demoted),
+                key(&lp, &m, &demoted),
                 "demotion level {level} must not alias the full ladder"
             );
         }
         assert_eq!(
-            cache_key(
+            key(
                 &lp,
                 &m,
                 &SchedulerChoice::LadderWith(Box::new(LadderOptions::default().demoted(0)))
@@ -1137,7 +1173,7 @@ mod tests {
         let m = Machine::r8000();
         let cache = ScheduleCache::new();
         let lp = saxpy("s");
-        let key = cache_key(&lp, &m, &SchedulerChoice::Heuristic);
+        let key = key(&lp, &m, &SchedulerChoice::Heuristic);
         cache
             .slots
             .lock()
@@ -1153,9 +1189,7 @@ mod tests {
             "an armed guard must clear its Pending slot on drop"
         );
         // With the slot cleared, a fresh request compiles normally.
-        cache
-            .get_or_compile(&lp, &m, &SchedulerChoice::Heuristic)
-            .expect("compiles");
+        get(&cache, &lp, &m, &SchedulerChoice::Heuristic).expect("compiles");
         assert_eq!(cache.len(), 1);
     }
 
@@ -1184,7 +1218,7 @@ mod tests {
                     s.spawn(|| {
                         for _ in 0..4 {
                             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                cache.get_or_compile(&lp, &m, &chaotic)
+                                get(&cache, &lp, &m, &chaotic)
                             }));
                             assert!(r.is_err(), "the injected panic must propagate");
                         }
@@ -1199,7 +1233,7 @@ mod tests {
             cache.is_empty(),
             "a panicked compile must leave nothing behind"
         );
-        let chaotic_key = cache_key(&lp, &m, &chaotic);
+        let chaotic_key = key(&lp, &m, &chaotic);
         assert!(
             !cache
                 .slots
@@ -1209,9 +1243,8 @@ mod tests {
             "no orphaned Pending entry"
         );
         // The same cache still serves quiet compiles of the same loop.
-        let quiet = cache
-            .get_or_compile(&lp, &m, &SchedulerChoice::Ladder)
-            .expect("quiet ladder compile succeeds");
+        let quiet =
+            get(&cache, &lp, &m, &SchedulerChoice::Ladder).expect("quiet ladder compile succeeds");
         assert!(quiet.audit.as_ref().is_some_and(|r| r.is_clean()));
     }
 }

@@ -1,7 +1,7 @@
 //! The showdown itself: side-by-side measurement of the two pipeliners on
 //! one loop, with the paper's static and dynamic quality measures.
 
-use crate::compile::{compile_loop, CompileError, CompiledLoop, SchedulerChoice};
+use crate::compile::{CompileError, CompileOptions, CompiledLoop, SchedulerChoice};
 use crate::par::Driver;
 use swp_ir::Loop;
 use swp_machine::Machine;
@@ -78,32 +78,11 @@ impl LoopComparison {
     }
 }
 
-/// Run both pipeliners on a loop and measure everything the paper reports.
-///
-/// # Errors
-///
-/// Propagates whichever pipeliner fails first.
-pub fn compare(
-    lp: &Loop,
-    machine: &Machine,
-    heur: &SchedulerChoice,
-    ilp: &SchedulerChoice,
-    short_trip: u64,
-    long_trip: u64,
-) -> Result<LoopComparison, CompileError> {
-    let h = compile_loop(lp, machine, heur)?;
-    let i = compile_loop(lp, machine, ilp)?;
-    Ok(LoopComparison {
-        name: lp.name().to_owned(),
-        heuristic: Measured::from_compiled(&h, machine, short_trip, long_trip),
-        ilp: Measured::from_compiled(&i, machine, short_trip, long_trip),
-    })
-}
-
-/// [`compare`] through a [`Driver`]: both compiles go through the
-/// driver's schedule cache (the ILP compile of a Livermore kernel is by
-/// far the most expensive step of Figures 6/7, and fig7 repeats fig6's
-/// compiles exactly).
+/// Run both pipeliners on a loop through `driver` and measure everything
+/// the paper reports. Both compiles go through the driver's schedule
+/// cache (the ILP compile of a Livermore kernel is by far the most
+/// expensive step of Figures 6/7, and fig7 repeats fig6's compiles
+/// exactly).
 ///
 /// # Errors
 ///
@@ -117,8 +96,8 @@ pub fn compare_with(
     short_trip: u64,
     long_trip: u64,
 ) -> Result<LoopComparison, CompileError> {
-    let h = driver.compile(lp, machine, heur)?;
-    let i = driver.compile(lp, machine, ilp)?;
+    let h = driver.compile_with(lp, machine, &CompileOptions::from(heur.clone()))?;
+    let i = driver.compile_with(lp, machine, &CompileOptions::from(ilp.clone()))?;
     Ok(LoopComparison {
         name: lp.name().to_owned(),
         heuristic: Measured::from_compiled(&h, machine, short_trip, long_trip),
@@ -141,7 +120,8 @@ mod tests {
         let w = b.fmul(v, v);
         b.store(y, 0, 8, w);
         let lp = b.finish();
-        let c = compare(
+        let c = compare_with(
+            &Driver::uncached(1),
             &lp,
             &m,
             &SchedulerChoice::Heuristic,

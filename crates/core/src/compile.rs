@@ -261,7 +261,7 @@ pub fn compile_loop_with(
     options: &CompileOptions,
 ) -> Result<CompiledLoop, CompileError> {
     // Only an enabled handle takes over; a disabled one must not shadow a
-    // collector the caller installed ambiently (e.g. `solver --gate`).
+    // collector the caller installed ambiently (e.g. `solver -D`).
     let _telemetry = options
         .telemetry
         .is_enabled()

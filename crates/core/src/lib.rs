@@ -20,17 +20,18 @@
 //!   bellows queue;
 //! - [`swp_kernels`]: the 24 Livermore loops and 14 SPEC92fp-like suites.
 //!
-//! This crate is the front door: [`compile_loop`] runs either pipeliner
-//! end-to-end, [`compare`] produces the paper's side-by-side measurements,
-//! and [`run_suite`] scores whole benchmark suites. [`Driver`] fans those
-//! entry points across a work-stealing thread pool and memoizes compiles
-//! in a [`ScheduleCache`], with results guaranteed identical to the
-//! sequential paths.
+//! This crate is the front door: [`compile_loop_with`] runs any pipeliner
+//! end-to-end, [`compare_with`] produces the paper's side-by-side
+//! measurements, and [`run_suite_with`] scores whole benchmark suites.
+//! Each takes a [`Driver`], which fans the work across a thread pool and
+//! memoizes compiles in a [`ScheduleCache`], with results identical at
+//! every thread count; `Driver::uncached(1)` is the plain sequential
+//! path.
 //!
 //! # Examples
 //!
 //! ```
-//! use showdown::{compare, SchedulerChoice};
+//! use showdown::{compare_with, Driver, SchedulerChoice};
 //! use swp_ir::LoopBuilder;
 //! use swp_machine::Machine;
 //!
@@ -45,7 +46,8 @@
 //! b.store(y, 0, 8, r);
 //! let lp = b.finish();
 //!
-//! let c = compare(&lp, &m, &SchedulerChoice::Heuristic, &SchedulerChoice::Ilp, 10, 1000)?;
+//! let (heur, ilp) = (SchedulerChoice::Heuristic, SchedulerChoice::Ilp);
+//! let c = compare_with(&Driver::uncached(1), &lp, &m, &heur, &ilp, 10, 1000)?;
 //! // §5.0: "Only very rarely does the optimal technique schedule ... at a
 //! // lower II than the heuristics" — never on a loop this simple.
 //! assert_eq!(c.heuristic.ii, c.ilp.ii);
@@ -61,8 +63,8 @@ mod portfolio;
 mod stage;
 mod suite;
 
-pub use cache::{cache_key, cache_key_with, CacheStats, ScheduleCache};
-pub use compare::{compare, compare_with, LoopComparison, Measured};
+pub use cache::{cache_key_with, CacheStats, ScheduleCache};
+pub use compare::{compare_with, LoopComparison, Measured};
 pub use compile::{
     compile_baseline, compile_loop, compile_loop_with, CompileError, CompileOptions, CompileStats,
     CompiledLoop, SchedulerChoice,
@@ -74,9 +76,8 @@ pub use ladder::{
 pub use par::{Driver, JobPanic};
 pub use portfolio::{compile_portfolio, PortfolioOptions};
 pub use suite::{
-    audit_suite_with, geometric_mean, ladder_suite_with, run_suite, run_suite_baseline,
-    run_suite_baseline_with, run_suite_with, LadderLoopReport, LadderSuccess, LoopAudit,
-    SuiteAudit, SuiteLadder, SuiteResult,
+    audit_suite_with, geometric_mean, ladder_suite_with, run_suite_baseline_with, run_suite_with,
+    LadderLoopReport, LadderSuccess, LoopAudit, SuiteAudit, SuiteLadder, SuiteResult,
 };
 pub use swp_ir::{OptFinding, OptLevel, OptOutcome, PassManager};
 pub use swp_obs::{CancelToken, Counter, CounterSnapshot, Histo, HistogramSnapshot, Telemetry};

@@ -2,27 +2,25 @@
 //!
 //! The figure harness compiles hundreds of loops that are independent of
 //! one another, so [`Driver`] fans them across a small pool of scoped
-//! threads with work stealing: each worker owns a deque seeded with a
-//! round-robin share of the job indices, pops from its own front, and
-//! steals from the back of a sibling when it runs dry. Results land in
-//! per-index slots, so callers always observe them **in job order**
-//! regardless of completion order — the parallel drivers are drop-in
-//! replacements for their sequential loops.
+//! threads. Jobs are whole compiles (milliseconds or more), so the pool
+//! needs no per-worker queues: every worker claims the next job index
+//! from one shared atomic counter until the indices run out. Results
+//! land in per-index slots, so callers always observe them **in job
+//! order** regardless of completion order — a many-thread driver returns
+//! exactly what a one-thread driver does.
 //!
 //! Compiles go through a shared [`ScheduleCache`], which both memoizes
 //! repeat requests across figures and deduplicates concurrent requests
 //! for the same (loop, machine, options) triple, so determinism does not
 //! depend on which thread wins a race.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::cache::{CacheStats, ScheduleCache};
-use crate::compile::{
-    compile_loop, compile_loop_with, CompileError, CompileOptions, CompiledLoop, SchedulerChoice,
-};
+use crate::compile::{compile_loop_with, CompileError, CompileOptions, CompiledLoop};
 use crate::stage::{catch, panic_message};
 use swp_ir::Loop;
 use swp_machine::Machine;
@@ -58,7 +56,7 @@ impl Default for Driver {
     }
 }
 
-// Ambient worker-count hint: set by Driver::compile/compile_with around
+// Ambient worker-count hint: set by Driver::compile_with around
 // the underlying compile so CompileStats::driver_threads can record which
 // driver configuration performed the work (0 = outside any driver).
 thread_local! {
@@ -119,9 +117,10 @@ impl Driver {
         }
     }
 
-    /// A driver that always compiles from scratch. This is the reference
-    /// configuration for speedup measurements and cache-correctness
-    /// tests.
+    /// A driver that always compiles from scratch. With one worker this
+    /// is the plain sequential path — every job on the calling thread,
+    /// no cache — and the reference configuration of the determinism
+    /// and cache-correctness tests.
     pub fn uncached(threads: usize) -> Driver {
         Driver {
             threads: threads.max(1),
@@ -154,31 +153,11 @@ impl Driver {
         self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// Compile one loop, consulting the cache when enabled. A panicking
-    /// scheduler is caught at this boundary and surfaced as
+    /// Compile one loop with full [`CompileOptions`] (scheduler choice,
+    /// verify and opt levels), consulting the cache when enabled. A
+    /// panicking scheduler is caught at this boundary and surfaced as
     /// [`CompileError::Internal`] — one bad loop fails its own job, not
     /// the pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from the underlying scheduler.
-    pub fn compile(
-        &self,
-        lp: &Loop,
-        machine: &Machine,
-        choice: &SchedulerChoice,
-    ) -> Result<Arc<CompiledLoop>, CompileError> {
-        let _hint = ThreadsHintGuard::set(self.threads);
-        catch_internal(|| match &self.cache {
-            Some(cache) => cache.get_or_compile(lp, machine, choice),
-            None => compile_loop(lp, machine, choice).map(Arc::new),
-        })
-    }
-
-    /// Compile one loop with full [`CompileOptions`] (scheduler choice +
-    /// verify level), consulting the cache when enabled. Panics are
-    /// caught and surfaced as [`CompileError::Internal`], as in
-    /// [`Driver::compile`].
     ///
     /// # Errors
     ///
@@ -260,25 +239,20 @@ impl Driver {
                 .map(|i| catch_unwind(AssertUnwindSafe(|| f(i))))
                 .collect();
         }
-        // Round-robin seeding spreads long jobs (suites and loops arrive
-        // roughly sorted by size) across workers; stealing rebalances
-        // whatever the seeding gets wrong.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((0..jobs).skip(w).step_by(workers).collect()))
-            .collect();
+        let next = AtomicUsize::new(0);
         type Slot<T> = Mutex<Option<Result<T, Box<dyn std::any::Any + Send>>>>;
         let slots: Vec<Slot<T>> = (0..jobs).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let slots = &slots;
-                    let f = &f;
-                    s.spawn(move || {
-                        while let Some(job) = next_job(queues, w) {
-                            let result = catch_unwind(AssertUnwindSafe(|| f(job)));
-                            *slots[job].lock().expect("result slot lock") = Some(result);
+                .map(|_| {
+                    let (next, slots, f) = (&next, &slots, &f);
+                    s.spawn(move || loop {
+                        let job = next.fetch_add(1, Ordering::Relaxed);
+                        if job >= jobs {
+                            break;
                         }
+                        let result = catch_unwind(AssertUnwindSafe(|| f(job)));
+                        *slots[job].lock().expect("result slot lock") = Some(result);
                     })
                 })
                 .collect();
@@ -291,7 +265,7 @@ impl Driver {
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot lock")
-                    .expect("queues drained, so every job ran")
+                    .expect("the counter passed every index, so every job ran")
             })
             .collect()
     }
@@ -309,21 +283,6 @@ where
             message,
         })
     })
-}
-
-/// Pop from our own front, else steal from a sibling's back.
-fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(job) = queues[w].lock().expect("job queue lock").pop_front() {
-        return Some(job);
-    }
-    let n = queues.len();
-    for offset in 1..n {
-        let victim = (w + offset) % n;
-        if let Some(job) = queues[victim].lock().expect("job queue lock").pop_back() {
-            return Some(job);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

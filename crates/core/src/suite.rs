@@ -1,17 +1,15 @@
 //! Whole-benchmark measurement: compile and simulate every hot loop of a
 //! SPEC-like suite and aggregate to a single relative time.
 //!
-//! Each `run_suite*` function has a `*_with` twin that takes a
-//! [`Driver`] and fans the per-loop work across its thread pool,
-//! consulting its schedule cache. The `_with` variants produce results
-//! **identical** to the plain sequential functions — per-loop outcomes
-//! land in suite order regardless of completion order, and the weighted
+//! Every runner takes a [`Driver`] and fans the per-loop work across its
+//! thread pool, consulting its schedule cache. Results are **identical**
+//! at every thread count, cached or not — per-loop outcomes land in
+//! suite order regardless of completion order, and the weighted
 //! aggregation runs over that ordered vector (`tests/determinism.rs`
-//! locks this down at several thread counts).
+//! locks this down against a one-thread uncached driver). Pass
+//! `&Driver::uncached(1)` for a plain sequential run.
 
-use crate::compile::{
-    compile_baseline, compile_loop, CompileError, CompileOptions, SchedulerChoice,
-};
+use crate::compile::{compile_baseline, CompileError, CompileOptions, SchedulerChoice};
 use crate::ladder::{LadderOptions, Rung, RungAttempt};
 use crate::par::Driver;
 use swp_kernels::Suite;
@@ -32,37 +30,11 @@ pub struct SuiteResult {
     pub per_loop_ii: Vec<u32>,
 }
 
-/// Compile and simulate a suite with the given scheduler.
-///
-/// # Errors
-///
-/// Propagates the first loop that fails to compile.
-pub fn run_suite(
-    suite: &Suite,
-    machine: &Machine,
-    choice: &SchedulerChoice,
-) -> Result<SuiteResult, CompileError> {
-    let mut cycles = Vec::with_capacity(suite.loops.len());
-    let mut iis = Vec::with_capacity(suite.loops.len());
-    for wl in &suite.loops {
-        let c = compile_loop(&wl.body, machine, choice)?;
-        let r = simulate(&c.code, wl.trip, machine);
-        cycles.push(r.cycles);
-        iis.push(c.stats.ii);
-    }
-    let per: Vec<f64> = cycles.iter().map(|&c| c as f64).collect();
-    Ok(SuiteResult {
-        name: suite.name.to_owned(),
-        time: suite.aggregate_time(&per),
-        per_loop_cycles: cycles,
-        per_loop_ii: iis,
-    })
-}
-
-/// [`run_suite`] over a [`Driver`]: loops compile (through the driver's
-/// cache) and simulate in parallel, but the result is identical to the
-/// sequential function — including which error surfaces when several
-/// loops fail (the earliest in suite order wins).
+/// Compile and simulate a suite with the given scheduler through
+/// `driver`: loops compile (through the driver's cache) and simulate in
+/// parallel, and the result is identical at every thread count —
+/// including which error surfaces when several loops fail (the earliest
+/// in suite order wins).
 ///
 /// # Errors
 ///
@@ -73,10 +45,11 @@ pub fn run_suite_with(
     machine: &Machine,
     choice: &SchedulerChoice,
 ) -> Result<SuiteResult, CompileError> {
+    let options = CompileOptions::from(choice.clone());
     let per_loop: Vec<Result<(u64, u32), CompileError>> =
         driver.run_indexed(suite.loops.len(), |i| {
             let wl = &suite.loops[i];
-            let c = driver.compile(&wl.body, machine, choice)?;
+            let c = driver.compile_with(&wl.body, machine, &options)?;
             let r = simulate(&c.code, wl.trip, machine);
             Ok((r.cycles, c.stats.ii))
         });
@@ -97,24 +70,7 @@ pub fn run_suite_with(
 }
 
 /// Run a suite with software pipelining disabled (the list-scheduled
-/// baseline of §4.1).
-pub fn run_suite_baseline(suite: &Suite, machine: &Machine) -> SuiteResult {
-    let mut cycles = Vec::with_capacity(suite.loops.len());
-    for wl in &suite.loops {
-        let base = compile_baseline(&wl.body, machine);
-        let r = simulate_baseline(&base, wl.trip, machine);
-        cycles.push(r.cycles);
-    }
-    let per: Vec<f64> = cycles.iter().map(|&c| c as f64).collect();
-    SuiteResult {
-        name: suite.name.to_owned(),
-        time: suite.aggregate_time(&per),
-        per_loop_cycles: cycles,
-        per_loop_ii: vec![0; suite.loops.len()],
-    }
-}
-
-/// [`run_suite_baseline`] over a [`Driver`]'s thread pool. Baseline list
+/// baseline of §4.1) over `driver`'s thread pool. Baseline list
 /// schedules are too cheap to cache; only the simulation fans out.
 pub fn run_suite_baseline_with(driver: &Driver, suite: &Suite, machine: &Machine) -> SuiteResult {
     let cycles: Vec<u64> = driver.run_indexed(suite.loops.len(), |i| {
@@ -339,8 +295,10 @@ mod tests {
             .into_iter()
             .find(|s| s.name == "alvinn")
             .expect("alvinn exists");
-        let pipe = run_suite(&suite, &m, &SchedulerChoice::Heuristic).expect("pipelines");
-        let base = run_suite_baseline(&suite, &m);
+        let driver = Driver::uncached(1);
+        let pipe =
+            run_suite_with(&driver, &suite, &m, &SchedulerChoice::Heuristic).expect("pipelines");
+        let base = run_suite_baseline_with(&driver, &suite, &m);
         assert!(
             base.time > 1.5 * pipe.time,
             "baseline {} vs pipelined {}",
@@ -356,12 +314,14 @@ mod tests {
             .into_iter()
             .find(|s| s.name == "swm256")
             .expect("swm256 exists");
-        let seq = run_suite(&suite, &m, &SchedulerChoice::Heuristic).expect("compiles");
+        let reference = Driver::uncached(1);
+        let seq =
+            run_suite_with(&reference, &suite, &m, &SchedulerChoice::Heuristic).expect("compiles");
         let driver = Driver::new(4);
         let par =
             run_suite_with(&driver, &suite, &m, &SchedulerChoice::Heuristic).expect("compiles");
         assert_eq!(seq, par);
-        let base_seq = run_suite_baseline(&suite, &m);
+        let base_seq = run_suite_baseline_with(&reference, &suite, &m);
         let base_par = run_suite_baseline_with(&driver, &suite, &m);
         assert_eq!(base_seq, base_par);
     }

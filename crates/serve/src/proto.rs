@@ -17,7 +17,8 @@
 //! any host-dependent field would break that equation.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use showdown::{OptLevel, VerifyLevel};
 use swp_ir::{ArrayId, ArrayInfo, Loop, MemAccess, Op, OpId, Operand, Sem, ValueId, ValueInfo};
@@ -718,29 +719,45 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, ProtoError> {
 
 /// Read one complete message from a blocking stream. Returns `Ok(None)`
 /// on clean EOF at a frame boundary; EOF anywhere *inside* a frame is
-/// [`ProtoError::MidFrameEof`].
+/// [`ProtoError::MidFrameEof`], and a read timeout set on the stream is
+/// [`ProtoError::Io`].
 ///
 /// # Errors
 ///
 /// Structured [`ProtoError`] on transport failure or any malformation.
 pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, ProtoError> {
+    match read_frame(r, None)? {
+        Some(payload) => decode_payload(&payload).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Read one frame and return its payload, or `Ok(None)` on clean EOF at
+/// a frame boundary. The one frame reader, for clients and the server:
+/// with a `shutdown` flag, read timeouts are ticks that re-check it (see
+/// [`read_full`]), and a flag seen before a header completes also ends
+/// the stream quietly with `Ok(None)`.
+pub(crate) fn read_frame(
+    r: &mut impl Read,
+    shutdown: Option<&AtomicBool>,
+) -> Result<Option<Vec<u8>>, ProtoError> {
     let mut header = [0u8; 8];
-    match read_full(r, &mut header)? {
+    match read_full(r, &mut header, shutdown)? {
         FullRead::Complete => {}
-        FullRead::CleanEof => return Ok(None),
+        FullRead::CleanEof | FullRead::Shutdown => return Ok(None),
         FullRead::MidEof { got } => {
             return Err(ProtoError::MidFrameEof { got, want: 8 - got });
         }
     }
-    let payload = read_payload_after_header(r, &header)?;
-    decode_payload(&payload).map(Some)
+    read_payload_after_header(r, &header, shutdown).map(Some)
 }
 
-/// Validate a frame header and read the payload it promises. Split out
-/// so the server's timeout-aware reader can share the exact same checks.
-pub(crate) fn read_payload_after_header(
+/// Validate a frame header and read the payload it promises. A shutdown
+/// seen mid-payload is an error: the peer still owed the rest.
+fn read_payload_after_header(
     r: &mut impl Read,
     header: &[u8; 8],
+    shutdown: Option<&AtomicBool>,
 ) -> Result<Vec<u8>, ProtoError> {
     let magic: [u8; 4] = header[..4].try_into().unwrap();
     if magic != MAGIC {
@@ -751,29 +768,43 @@ pub(crate) fn read_payload_after_header(
         return Err(ProtoError::Oversized(len));
     }
     let mut payload = vec![0u8; len];
-    match read_full(r, &mut payload)? {
+    match read_full(r, &mut payload, shutdown)? {
         FullRead::Complete => Ok(payload),
         FullRead::CleanEof => Err(ProtoError::MidFrameEof { got: 0, want: len }),
         FullRead::MidEof { got } => Err(ProtoError::MidFrameEof {
             got,
             want: len - got,
         }),
+        FullRead::Shutdown => Err(ProtoError::Io("server shutting down".into())),
     }
 }
 
 /// Outcome of trying to fill a buffer from a stream.
-pub(crate) enum FullRead {
+enum FullRead {
     /// Buffer filled.
     Complete,
     /// Zero bytes then EOF.
     CleanEof,
     /// Some bytes then EOF.
     MidEof { got: usize },
+    /// The shutdown flag was set before the buffer filled.
+    Shutdown,
 }
 
-pub(crate) fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<FullRead, ProtoError> {
+/// Fill `buf` from `r`. Without a `shutdown` flag a read timeout is a
+/// [`ProtoError::Io`] error — a client's bound on a silent server. With
+/// one, a timeout just re-checks the flag and re-arms the read, so a
+/// slow peer is fine and a dead one is bounded by shutdown.
+fn read_full(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    shutdown: Option<&AtomicBool>,
+) -> Result<FullRead, ProtoError> {
     let mut got = 0;
     while got < buf.len() {
+        if shutdown.is_some_and(|f| f.load(Ordering::SeqCst)) {
+            return Ok(FullRead::Shutdown);
+        }
         match r.read(&mut buf[got..]) {
             Ok(0) => {
                 return Ok(if got == 0 {
@@ -783,7 +814,10 @@ pub(crate) fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<FullRead, P
                 });
             }
             Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if shutdown.is_some()
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) => return Err(e.into()),
         }
     }

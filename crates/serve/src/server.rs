@@ -53,6 +53,10 @@ pub fn quick_most_options() -> MostOptions {
         pivot_limit: 400_000,
         time_limit: None,
         loop_time_limit: None,
+        // The deterministic ladder cap: ~3 full solves' worth of pivots
+        // across all IIs tried for one loop, so a loop whose schedules
+        // keep failing allocation cannot grind through every II to MaxII
+        // at full budget.
         loop_pivot_limit: Some(1_200_000),
         max_ops: 64,
         ..MostOptions::default()
@@ -266,20 +270,9 @@ fn handle_connection(shared: Arc<Shared>, mut stream: UnixStream) {
         .then(|| shared.telemetry.install());
     let _ = stream.set_read_timeout(Some(READ_TICK));
     loop {
-        let mut header = [0u8; 8];
-        match read_full_interruptible(&mut stream, &mut header, &shared.shutdown) {
-            ReadOutcome::Complete => {}
-            ReadOutcome::CleanEof | ReadOutcome::Shutdown => return,
-            ReadOutcome::Error(e) => {
-                send_error(&mut stream, &e);
-                return;
-            }
-        }
-        // The payload read uses the plain blocking reader: once a header
-        // has arrived the client owes the rest of the frame, and the
-        // read timeout still bounds each individual wait.
-        let payload = match read_payload_interruptible(&mut stream, &header, &shared.shutdown) {
-            Ok(p) => p,
+        let payload = match proto::read_frame(&mut stream, Some(&shared.shutdown)) {
+            Ok(Some(p)) => p,
+            Ok(None) => return,
             Err(e) => {
                 send_error(&mut stream, &e);
                 return;
@@ -317,75 +310,6 @@ fn send_error(stream: &mut UnixStream, e: &ProtoError) {
     // lost; the connection closes right after.
     let _ = proto::write_message(stream, &Message::Error(e.to_string()));
     let _ = stream.flush();
-}
-
-enum ReadOutcome {
-    Complete,
-    CleanEof,
-    Shutdown,
-    Error(ProtoError),
-}
-
-/// Fill `buf`, treating read timeouts as shutdown-check ticks. Between
-/// frames a timeout is idle waiting; inside a frame it just re-arms the
-/// same read, so a slow client is fine and a dead one is bounded by the
-/// shutdown flag.
-fn read_full_interruptible(
-    stream: &mut UnixStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-) -> ReadOutcome {
-    use std::io::Read;
-    let mut got = 0;
-    while got < buf.len() {
-        if shutdown.load(Ordering::SeqCst) {
-            return ReadOutcome::Shutdown;
-        }
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    ReadOutcome::CleanEof
-                } else {
-                    ReadOutcome::Error(ProtoError::MidFrameEof {
-                        got,
-                        want: buf.len() - got,
-                    })
-                };
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return ReadOutcome::Error(e.into()),
-        }
-    }
-    ReadOutcome::Complete
-}
-
-fn read_payload_interruptible(
-    stream: &mut UnixStream,
-    header: &[u8; 8],
-    shutdown: &AtomicBool,
-) -> Result<Vec<u8>, ProtoError> {
-    let magic: [u8; 4] = header[..4].try_into().unwrap();
-    if magic != proto::MAGIC {
-        return Err(ProtoError::BadMagic(magic));
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-    if len > proto::MAX_FRAME {
-        return Err(ProtoError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len];
-    match read_full_interruptible(stream, &mut payload, shutdown) {
-        ReadOutcome::Complete => Ok(payload),
-        ReadOutcome::CleanEof => Err(ProtoError::MidFrameEof { got: 0, want: len }),
-        ReadOutcome::Shutdown => Err(ProtoError::Io("server shutting down".into())),
-        ReadOutcome::Error(e) => Err(e),
-    }
 }
 
 fn process_batch(shared: &Shared, req: &RequestBatch) -> ResponseBatch {

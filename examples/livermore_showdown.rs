@@ -6,7 +6,7 @@
 //! cargo run --release --example livermore_showdown
 //! ```
 
-use showdown::{compare, SchedulerChoice};
+use showdown::{compare_with, Driver, SchedulerChoice};
 use std::time::Duration;
 use swp_machine::Machine;
 use swp_most::MostOptions;
@@ -23,9 +23,11 @@ fn main() {
         "{:<4} {:<28} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8}",
         "k", "kernel", "II(h)", "II(i)", "reg(h)", "reg(i)", "rel-shrt", "rel-long"
     );
+    let driver = Driver::uncached(1);
     let mut ilp_ii_wins = 0;
     for k in swp_kernels::livermore() {
-        let c = compare(
+        let c = compare_with(
+            &driver,
             &k.body,
             &machine,
             &SchedulerChoice::Heuristic,

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use showdown::{compare, compile_baseline, SchedulerChoice};
+use showdown::{compare_with, compile_baseline, Driver, SchedulerChoice};
 use swp_ir::{Ddg, LoopBuilder};
 use swp_machine::Machine;
 use swp_sim::simulate_baseline;
@@ -34,7 +34,8 @@ fn main() {
     );
 
     // The showdown: heuristic vs ILP on the same loop.
-    let c = compare(
+    let c = compare_with(
+        &Driver::uncached(1),
         &lp,
         &machine,
         &SchedulerChoice::Heuristic,

@@ -1,7 +1,7 @@
 //! Differential lockdown of the parallel driver: `run_suite_with` must
-//! produce **bit-identical** results to the plain sequential `run_suite`
-//! on every SPEC-like suite, at several thread counts, with and without
-//! the schedule cache. The parallel driver is only allowed to change
+//! produce **bit-identical** results to the plain sequential reference —
+//! one thread, no cache (`Driver::uncached(1)`) — on every SPEC-like
+//! suite, at several thread counts, with and without the schedule cache. The parallel driver is only allowed to change
 //! wall-clock, never results.
 //!
 //! The heuristic scheduler is used throughout: its search is budgeted in
@@ -11,9 +11,7 @@
 //! in-flight dedup in `ScheduleCache` hands every concurrent requester
 //! the same result object — which `tests/property.rs` covers.)
 
-use showdown::{
-    run_suite, run_suite_baseline, run_suite_baseline_with, run_suite_with, Driver, SchedulerChoice,
-};
+use showdown::{run_suite_baseline_with, run_suite_with, Driver, SchedulerChoice};
 use swp_machine::Machine;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -23,7 +21,7 @@ fn parallel_run_suite_is_bit_identical_to_sequential_on_every_suite() {
     let m = Machine::r8000();
     let choice = SchedulerChoice::Heuristic;
     for suite in swp_kernels::spec_suites() {
-        let reference = run_suite(&suite, &m, &choice)
+        let reference = run_suite_with(&Driver::uncached(1), &suite, &m, &choice)
             .unwrap_or_else(|e| panic!("{}: sequential compile failed: {e}", suite.name));
         for threads in THREAD_COUNTS {
             // A fresh driver per (suite, thread count): every compile
@@ -49,7 +47,8 @@ fn uncached_parallel_driver_is_also_deterministic() {
     let m = Machine::r8000();
     let choice = SchedulerChoice::Heuristic;
     for suite in swp_kernels::spec_suites() {
-        let reference = run_suite(&suite, &m, &choice).expect("sequential compiles");
+        let reference =
+            run_suite_with(&Driver::uncached(1), &suite, &m, &choice).expect("sequential compiles");
         for threads in THREAD_COUNTS {
             let driver = Driver::uncached(threads);
             let parallel = run_suite_with(&driver, &suite, &m, &choice).expect("parallel compiles");
@@ -66,7 +65,7 @@ fn uncached_parallel_driver_is_also_deterministic() {
 fn parallel_baseline_is_bit_identical_to_sequential() {
     let m = Machine::r8000();
     for suite in swp_kernels::spec_suites() {
-        let reference = run_suite_baseline(&suite, &m);
+        let reference = run_suite_baseline_with(&Driver::uncached(1), &suite, &m);
         for threads in THREAD_COUNTS {
             let driver = Driver::new(threads);
             let parallel = run_suite_baseline_with(&driver, &suite, &m);
@@ -88,7 +87,8 @@ fn warm_cache_replays_are_bit_identical_too() {
     let choice = SchedulerChoice::Heuristic;
     let driver = Driver::new(4);
     for suite in swp_kernels::spec_suites().into_iter().take(4) {
-        let reference = run_suite(&suite, &m, &choice).expect("sequential compiles");
+        let reference =
+            run_suite_with(&Driver::uncached(1), &suite, &m, &choice).expect("sequential compiles");
         for round in 0..3 {
             let replay = run_suite_with(&driver, &suite, &m, &choice).expect("compiles");
             assert_eq!(reference, replay, "{} round {round}", suite.name);

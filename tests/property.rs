@@ -2,7 +2,7 @@
 //! every layer of the system must uphold regardless of loop shape.
 
 use proptest::prelude::*;
-use showdown::{compile_loop, ScheduleCache, SchedulerChoice};
+use showdown::{compile_loop, CompileOptions, ScheduleCache, SchedulerChoice};
 use std::sync::Arc;
 use swp_ir::{passes, Ddg, LongestPaths};
 use swp_kernels::{random_loop, GenParams};
@@ -194,8 +194,9 @@ proptest! {
         });
         for choice in [SchedulerChoice::Heuristic, ilp] {
             let cache = ScheduleCache::new();
-            let first = cache.get_or_compile(&lp, &m, &choice);
-            let hit = cache.get_or_compile(&lp, &m, &choice);
+            let options = CompileOptions::from(choice.clone());
+            let first = cache.get_or_compile_with(&lp, &m, &options);
+            let hit = cache.get_or_compile_with(&lp, &m, &options);
             let fresh = compile_loop(&lp, &m, &choice);
             prop_assert_eq!(cache.stats().hits, 1, "second lookup must hit");
             match (first, hit, fresh) {

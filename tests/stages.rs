@@ -186,8 +186,11 @@ fn a_deadline_above_the_winner_taints_both_modes() {
         assert_eq!(c.rung, Some(Rung::Sat), "{choice:?}");
         assert!(c.stats.deadline_hit, "{choice:?}: the ILP deadline taints");
         let cache = ScheduleCache::new();
+        let options = CompileOptions::from(choice);
         for _ in 0..2 {
-            cache.get_or_compile(&lp, &m, &choice).expect("compiles");
+            cache
+                .get_or_compile_with(&lp, &m, &options)
+                .expect("compiles");
         }
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
         assert!(cache.is_empty(), "a tainted result is never memoized");
