@@ -10,61 +10,49 @@
 //! ii-compare solver ablation-order ablation-iisearch ablation-spill all
 //! audit chaos portfolio profile opt serve-chaos serve-smoke`.
 //! An unknown subcommand or a non-numeric `--threads` prints this list
-//! and exits 2. The gates (`audit`, `solver`, `opt`, `chaos`,
-//! `portfolio`, `serve-chaos`, `serve-smoke`) all take `-D` (or
-//! `--deny`): without it a violated floor is only printed, with it the
-//! process also exits nonzero.
+//! and exits 2.
 //!
-//! `opt` (not part of `all`) runs every suite loop (plus the Livermore
-//! kernels) through the mid-end pass pipeline, translation-validating
-//! every application, and prints the impact table: op counts, RecMII
-//! drops, achieved II, and ILP pivot work with the pipeline off vs on.
-//! With `-D` a violated `opt_gate` floor (any validation finding, pivots
-//! not beating the committed baseline, a missing Livermore RecMII win)
-//! exits nonzero, which is how CI enforces that the mid-end keeps paying
-//! for itself.
+//! **Gates.** stdout is the golden; stderr is everything else. Every
+//! subcommand writes only its deterministic rendering to stdout: the same
+//! bytes at any `--threads`, on any host. Wall clocks, load-dependent
+//! counts and verdicts go to stderr. The nine commands with a committed
+//! `gates/<cmd>.golden` (`all audit opt solver chaos portfolio profile
+//! serve-chaos serve-smoke`, at the default quick effort) take `-D` (or
+//! `--deny`). It exits 1 when stdout differs from the golden (naming the
+//! first differing line) or when a must-be-zero invariant is broken:
+//! an audit finding, an opt validation finding or audit error, a chaos
+//! containment violation, a portfolio determinism violation or a race
+//! slower than 1.5× the slowest backend + 500 ms, a failed serve-chaos
+//! scenario, a serve-smoke error reply or cold restart, a dead profile
+//! metric, an invalid trace, or registry cache counters that disagree with
+//! the caches. `-D` on any other subcommand is a usage error. A change
+//! that means to move a number re-blesses the golden by redirect,
+//! `experiments -- <cmd> > gates/<cmd>.golden`, and shows the diff in
+//! CHANGES.md.
 //!
-//! `audit` (not part of `all`) compiles every suite loop under both
-//! schedulers at full verification and prints a findings table; with `-D`
-//! any finding exits nonzero, which is how CI enforces zero findings.
-//!
-//! `chaos` (not part of `all`) runs every suite down the degradation
-//! ladder under each committed fault-injection scenario and prints a
-//! containment table; with `-D` any containment violation (an escaped
-//! fault, an unrescued loop, an unstructured crash) exits nonzero, which
-//! is how CI proves the ladder catches what it claims.
-//!
-//! `portfolio` (not part of `all`) races ILP, SAT, and the heuristic on
-//! every figure suite plus the Livermore kernels under the quick
-//! deterministic budgets, printing per-backend win counts, SAT-vs-ILP
-//! II parity, and standalone-vs-raced wall clocks; with `-D` a violated
-//! floor (SAT below 20/24 Livermore II matches, any determinism
-//! violation, a race slower than the slowest backend plus dispatch
-//! overhead) exits nonzero, which is how CI holds the third backend and
-//! the racing layer to their claims.
-//!
-//! `solver` (not part of `all`) prints MOST's deterministic node/pivot
-//! work counters over the Livermore kernels; with `-D` it exits
-//! nonzero when any committed work floor is violated, which is how CI
-//! catches solver-efficiency regressions without trusting wall clocks.
-//!
-//! `profile` (not part of `all`) runs the traced profile workload and
-//! prints the telemetry compile-report; with `--trace FILE` it exports
-//! the Chrome `trace_event` JSON (load it at `chrome://tracing` or
-//! <https://ui.perfetto.dev>) after schema-validating it. It always runs
-//! the dead-metric lint — an `Exact` metric registered but never
-//! incremented exits nonzero — which is how CI keeps the registry honest.
-//!
-//! `serve-chaos` (not part of `all`) runs the service-layer fault
-//! sweep: corrupt store records, a crash between temp-write and rename,
-//! mid-frame client disconnects, adversarial frames, and an overload
-//! burst. With `-D` any failed scenario exits nonzero — CI's proof that
-//! a bad client, a bad disk, or a bad day cannot take the service down.
-//!
-//! `serve-smoke` (not part of `all`) is the CI service gate: an
-//! 8-client saturation pass that must answer every loop (overload may
-//! demote, never reject), followed by a server kill and restart on the
-//! same store that must serve warm from disk, bit-identically.
+//! Not part of `all`:
+//! - `audit` compiles every suite loop under both schedulers at full
+//!   verification and prints a findings table.
+//! - `opt` runs every suite loop (plus the Livermore kernels) through the
+//!   translation-validated mid-end pass pipeline and prints op counts,
+//!   RecMII drops, achieved II and ILP pivots with the pipeline off vs on.
+//! - `solver` prints MOST's node/pivot work counters over the Livermore
+//!   kernels.
+//! - `chaos` runs every suite down the degradation ladder under each
+//!   committed fault-injection scenario and prints a containment table.
+//! - `portfolio` races ILP, SAT and the heuristic on every figure suite
+//!   plus the Livermore kernels: win counts, SAT-vs-ILP II parity, and
+//!   (on stderr) standalone-vs-raced wall clocks.
+//! - `profile` runs the traced profile workload and prints the telemetry
+//!   compile-report; `--trace FILE` exports the schema-validated Chrome
+//!   `trace_event` JSON (load it at `chrome://tracing` or
+//!   <https://ui.perfetto.dev>).
+//! - `serve-chaos` runs the service-layer fault sweep: corrupt store
+//!   records, a crash between temp-write and rename, mid-frame client
+//!   disconnects, adversarial frames and an overload burst.
+//! - `serve-smoke` runs 8 saturating clients (overload may demote, never
+//!   reject), then kills and restarts the server on the same store, which
+//!   must serve warm from disk.
 //!
 //! Result figures run on a shared parallel [`Driver`] (`--threads N`,
 //! default: all cores) whose schedule cache carries compiles across
@@ -75,21 +63,46 @@
 use showdown::Driver;
 use swp_bench::{
     ablation_ii_search, ablation_order, ablation_spill, audit_with, chaos_rung_usage,
-    chaos_scenarios, chaos_with, compile_speed, fig2_geomean, fig2_with, fig3_with, fig4_with,
-    fig5_with, fig6_fig7_with, ii_compare_with, loop_size, opt_gate, opt_with, portfolio_sweep,
-    portfolio_wall_gate, profile_workload, solver_gate, solver_speed, Effort,
+    chaos_scenarios, chaos_with, compile_speed, diff_golden, fig2_geomean, fig2_with, fig3_with,
+    fig4_with, fig5_with, fig6_fig7_with, ii_compare_with, loop_size, opt_with, portfolio_sweep,
+    portfolio_wall_gate, profile_workload, solver_speed, Effort,
 };
 use swp_heur::PriorityHeuristic;
 use swp_machine::Machine;
+use swp_obs::{Class, Counter, Histo};
 
 const SUBCOMMANDS: &str = "fig2 fig3 fig4 fig5 fig6 fig7 compile-speed loop-size ii-compare \
      solver ablation-order ablation-iisearch ablation-spill all audit chaos portfolio profile opt \
      serve-chaos serve-smoke";
 
+macro_rules! goldens {
+    ($($cmd:literal)*) => {
+        [$(($cmd, include_str!(concat!("../../../../gates/", $cmd, ".golden")))),*]
+    };
+}
+
+/// The committed stdout of every command `-D` checks.
+const GOLDENS: [(&str, &str); 9] = goldens!(
+    "all" "audit" "opt" "solver" "chaos" "portfolio" "profile" "serve-chaos" "serve-smoke"
+);
+
 /// Print the subcommand list after `problem` and exit 2.
 fn usage(problem: &str) -> ! {
     eprintln!("experiments: {problem}\nsubcommands: {SUBCOMMANDS}");
     std::process::exit(2);
+}
+
+/// The deterministic stdout of one run: `write!`/`writeln!` into it echo
+/// to the terminal and keep the text for the `-D` diff.
+#[derive(Default)]
+struct Stdout(String);
+
+impl Stdout {
+    fn write_fmt(&mut self, args: std::fmt::Arguments) {
+        let s = args.to_string();
+        print!("{s}");
+        self.0.push_str(&s);
+    }
 }
 
 fn main() {
@@ -111,30 +124,29 @@ fn main() {
     if !SUBCOMMANDS.split(' ').any(|c| c == cmd) {
         usage(&format!("unknown subcommand `{cmd}`"));
     }
+    let golden = GOLDENS.iter().find(|(c, _)| *c == cmd).map(|(_, g)| *g);
+    if deny && golden.is_none() {
+        usage(&format!("`{cmd}` has no golden to check with -D"));
+    }
     let m = Machine::r8000();
     let driver = Driver::new(threads);
+    let mut o = Stdout::default();
+    let mut violations: Vec<String> = Vec::new();
 
     let run = |name: &str| cmd == "all" || cmd == name;
-    let report_cache = |driver: &Driver, before: showdown::CacheStats| {
-        let after = driver.cache_stats();
-        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
-        let total = hits + misses;
-        println!(
-            "[cache] {hits} hits / {misses} misses ({:.0}% hit rate)\n",
-            100.0 * hits as f64 / (total.max(1)) as f64
-        );
-    };
 
     if run("fig2") {
-        println!("== Figure 2: SPEC92fp-like suites, pipelining enabled vs disabled ==");
-        println!(
-            "{:<12} {:>12} {:>12} {:>9}",
+        writeln!(
+            o,
+            "== Figure 2: SPEC92fp-like suites, pipelining enabled vs disabled ==\n\
+             {:<12} {:>12} {:>12} {:>9}",
             "benchmark", "base(time)", "pipe(time)", "speedup"
         );
         let before = driver.cache_stats();
         let rows = fig2_with(&driver, &m, effort);
         for r in &rows {
-            println!(
+            writeln!(
+                o,
                 "{:<12} {:>12.4} {:>12.4} {:>8.2}x",
                 r.name,
                 r.baseline_time,
@@ -142,28 +154,30 @@ fn main() {
                 r.speedup()
             );
         }
-        println!(
+        writeln!(
+            o,
             "geometric mean speedup: {:.2}x (paper: >1.35x)",
             fig2_geomean(&rows)
         );
-        report_cache(&driver, before);
+        report_cache(&mut o, &driver, before);
     }
 
     if run("fig3") {
-        println!("== Figure 3: single priority-list heuristics (ratio vs all four) ==");
-        print!("{:<12}", "benchmark");
-        for h in PriorityHeuristic::ALL {
-            print!(" {h:>7}");
-        }
-        println!();
+        let heads: String = PriorityHeuristic::ALL
+            .iter()
+            .map(|h| format!(" {h:>7}"))
+            .collect();
+        writeln!(
+            o,
+            "== Figure 3: single priority-list heuristics (ratio vs all four) ==\n\
+             {:<12}{heads}",
+            "benchmark"
+        );
         let before = driver.cache_stats();
         let rows = fig3_with(&driver, &m, effort);
         for r in &rows {
-            print!("{:<12}", r.name);
-            for v in r.ratios {
-                print!(" {v:>7.3}");
-            }
-            println!();
+            let ratios: String = r.ratios.iter().map(|v| format!(" {v:>7.3}")).collect();
+            writeln!(o, "{:<12}{ratios}", r.name);
         }
         // Which heuristics are best somewhere?
         let mut best_somewhere = [false; 4];
@@ -177,34 +191,40 @@ fn main() {
                 .expect("4 entries");
             best_somewhere[best] = true;
         }
-        println!(
+        writeln!(
+            o,
             "heuristics that win at least one suite: {:?} (paper: 3 of 4)",
             best_somewhere
         );
-        report_cache(&driver, before);
+        report_cache(&mut o, &driver, before);
     }
 
     if run("fig4") {
-        println!("== Figure 4: memory-bank heuristics enabled vs disabled ==");
-        println!("{:<12} {:>12}", "benchmark", "improvement");
+        writeln!(
+            o,
+            "== Figure 4: memory-bank heuristics enabled vs disabled ==\n{:<12} {:>12}",
+            "benchmark", "improvement"
+        );
         let before = driver.cache_stats();
         for r in fig4_with(&driver, &m, effort) {
-            println!("{:<12} {:>11.3}x", r.name, r.improvement);
+            writeln!(o, "{:<12} {:>11.3}x", r.name, r.improvement);
         }
-        println!("(paper: alvinn and mdljdp2 stand out)");
-        report_cache(&driver, before);
+        writeln!(o, "(paper: alvinn and mdljdp2 stand out)");
+        report_cache(&mut o, &driver, before);
     }
 
     if run("fig5") {
-        println!("== Figure 5: ILP-scheduled code relative to MIPSpro ==");
-        println!(
-            "{:<12} {:>12} {:>15} {:>10}",
+        writeln!(
+            o,
+            "== Figure 5: ILP-scheduled code relative to MIPSpro ==\n\
+             {:<12} {:>12} {:>15} {:>10}",
             "benchmark", "vs pairing", "vs no-pairing", "fallback%"
         );
         let before = driver.cache_stats();
         let rows = fig5_with(&driver, &m, effort);
         for r in &rows {
-            println!(
+            writeln!(
+                o,
                 "{:<12} {:>11.3}x {:>14.3}x {:>9.0}%",
                 r.name,
                 r.vs_pairing,
@@ -214,176 +234,142 @@ fn main() {
         }
         let g1: Vec<f64> = rows.iter().map(|r| r.vs_pairing).collect();
         let g2: Vec<f64> = rows.iter().map(|r| r.vs_no_pairing).collect();
-        println!(
+        writeln!(
+            o,
             "geomean vs pairing: {:.3} (paper ≈ 0.92); vs no-pairing: {:.3} (paper ≈ 1.0)",
             showdown::geometric_mean(&g1),
             showdown::geometric_mean(&g2)
         );
-        report_cache(&driver, before);
+        report_cache(&mut o, &driver, before);
     }
 
     if run("fig6") || run("fig7") {
         let before = driver.cache_stats();
         let rows = fig6_fig7_with(&driver, &m, effort);
         if run("fig6") {
-            println!("== Figure 6: Livermore kernels, ILP vs MIPSpro (heur/ILP time) ==");
-            println!(
-                "{:<4} {:<28} {:>9} {:>9} {:>8}",
+            writeln!(
+                o,
+                "== Figure 6: Livermore kernels, ILP vs MIPSpro (heur/ILP time) ==\n\
+                 {:<4} {:<28} {:>9} {:>9} {:>8}",
                 "k", "name", "short", "long", "same II"
             );
             for r in &rows {
-                println!(
+                writeln!(
+                    o,
                     "{:<4} {:<28} {:>9.3} {:>9.3} {:>8}",
                     r.number, r.name, r.relative_short, r.relative_long, r.same_ii
                 );
             }
-            println!();
+            writeln!(o);
         }
         if run("fig7") {
-            println!("== Figure 7: static deltas per Livermore loop (MIPSpro − ILP) ==");
-            println!(
-                "{:<4} {:<28} {:>9} {:>11} {:>9}",
+            writeln!(
+                o,
+                "== Figure 7: static deltas per Livermore loop (MIPSpro − ILP) ==\n\
+                 {:<4} {:<28} {:>9} {:>11} {:>9}",
                 "k", "name", "Δregs", "Δoverhead", "fellback"
             );
-            let mut heur_fewer_regs = 0;
-            let mut heur_lower_ovh = 0;
-            let mut corr_breaks = 0;
             for r in &rows {
-                println!(
+                writeln!(
+                    o,
                     "{:<4} {:<28} {:>9} {:>11} {:>9}",
                     r.number, r.name, r.reg_delta, r.overhead_delta, r.ilp_fell_back
                 );
-                if r.reg_delta < 0 {
-                    heur_fewer_regs += 1;
-                }
-                if r.overhead_delta < 0 {
-                    heur_lower_ovh += 1;
-                }
-                if (r.reg_delta < 0) != (r.overhead_delta < 0) {
-                    corr_breaks += 1;
-                }
             }
-            println!(
+            let count = |f: fn(i64, i64) -> bool| {
+                rows.iter()
+                    .filter(|r| f(r.reg_delta, r.overhead_delta))
+                    .count()
+            };
+            let heur_fewer_regs = count(|regs, _| regs < 0);
+            let heur_lower_ovh = count(|_, ovh| ovh < 0);
+            let corr_breaks = count(|regs, ovh| (regs < 0) != (ovh < 0));
+            writeln!(
+                o,
                 "heuristic uses fewer registers on {heur_fewer_regs}/24, lower overhead on \
                  {heur_lower_ovh}/24; reg/overhead disagree on {corr_breaks}/24 \
                  (paper: 15/26, 12/26, 16/26 — no consistent winner)"
             );
         }
-        report_cache(&driver, before);
+        report_cache(&mut o, &driver, before);
     }
 
     if run("compile-speed") {
-        println!("== §4.7: compile-speed comparison ==");
+        writeln!(o, "== §4.7: compile-speed comparison ==");
         let c = compile_speed(&m, effort);
-        println!(
-            "heuristic: {:?} over {} loops; ILP: {:?}; ratio {:.0}x (paper: 259x)\n",
+        eprintln!(
+            "heuristic: {:?} over {} loops; ILP: {:?}; ratio {:.0}x (paper: 259x)",
             c.heuristic,
             c.loops,
             c.ilp,
             c.ratio()
         );
+        writeln!(o);
     }
 
     if run("loop-size") {
-        println!("== §5.0: largest schedulable loop under a fixed budget ==");
         let s = loop_size(&m, effort);
-        println!(
-            "heuristic: {} ops; MOST: {} ops (paper: 116 vs 61)\n",
+        writeln!(
+            o,
+            "== §5.0: largest schedulable loop under a fixed budget ==\n\
+             heuristic: {} ops; MOST: {} ops (paper: 116 vs 61)\n",
             s.heuristic_max, s.most_max
         );
     }
 
     if run("ii-compare") {
-        println!("== §5.0: achieved II comparison ==");
+        writeln!(o, "== §5.0: achieved II comparison ==");
         let before = driver.cache_stats();
         let c = ii_compare_with(&driver, &m, effort);
-        println!(
+        writeln!(
+            o,
             "ILP strictly better: {} (paper: 1); heuristic strictly better: {}; ties: {}; \
              ILP wins surviving a 16x backtrack-budget increase: {} (paper: 0)",
             c.ilp_wins, c.heur_wins, c.ties, c.ilp_wins_after_budget_increase
         );
-        report_cache(&driver, before);
+        report_cache(&mut o, &driver, before);
     }
 
     if run("ablation-order") {
-        println!("== Ablation: MOST branch priority orders (§3.3 adj. 3) ==");
         let a = ablation_order(&m, effort);
-        println!(
-            "solved with orders: {}/24 ({} nodes); without: {}/24 ({} nodes)\n",
+        writeln!(
+            o,
+            "== Ablation: MOST branch priority orders (§3.3 adj. 3) ==\n\
+             solved with orders: {}/24 ({} nodes); without: {}/24 ({} nodes)\n",
             a.solved_with, a.nodes_with, a.solved_without, a.nodes_without
         );
     }
 
     if run("ablation-iisearch") {
-        println!("== Ablation: two-phase vs plain binary II search (§2.3) ==");
         let a = ablation_ii_search(&m);
-        println!(
-            "attempts two-phase: {}; plain binary: {}; identical IIs: {}\n",
+        writeln!(
+            o,
+            "== Ablation: two-phase vs plain binary II search (§2.3) ==\n\
+             attempts two-phase: {}; plain binary: {}; identical IIs: {}\n",
             a.attempts_two_phase, a.attempts_binary, a.same_quality
         );
     }
 
     if run("ablation-spill") {
-        println!("== Ablation: exponential spilling (§2.8) ==");
+        writeln!(o, "== Ablation: exponential spilling (§2.8) ==");
         let a = ablation_spill(&m);
-        println!(
+        writeln!(
+            o,
             "high-pressure loops pipelined with spilling: {}/{}; without: {}/{}\n",
             a.with_spilling, a.total, a.without_spilling, a.total
         );
     }
 
     if cmd == "solver" {
-        println!("== Solver speed: MOST work counters, 24 Livermore kernels ==");
-        println!("(deterministic quick budgets, fallback off — counters reproduce exactly)");
-        println!(
-            "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10}",
-            "k", "name", "ops", "ii", "nodes", "pivots", "piv/node"
-        );
-        let s = solver_speed(&m);
-        for r in &s.rows {
-            let ii = r.ii.map_or_else(|| "-".to_owned(), |ii| ii.to_string());
-            println!(
-                "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10.2}",
-                r.number,
-                r.name,
-                r.ops,
-                ii,
-                r.nodes,
-                r.pivots,
-                r.pivots as f64 / r.nodes.max(1) as f64
-            );
-        }
-        println!(
-            "solved {}/{}; total {} nodes, {} pivots; {:.2} pivots/node",
-            s.solved(),
-            s.rows.len(),
-            s.total_nodes(),
-            s.total_pivots(),
-            s.pivots_per_node()
-        );
-        println!(
-            "gate floors: solved >= {}, nodes <= {}, pivots <= {}, pivots/node <= {}",
-            solver_gate::MIN_SOLVED,
-            solver_gate::MAX_TOTAL_NODES,
-            solver_gate::MAX_TOTAL_PIVOTS,
-            solver_gate::MAX_PIVOTS_PER_NODE
-        );
-        match s.gate() {
-            Ok(()) => println!("gate: ok"),
-            Err(e) => {
-                println!("gate: FAIL — {e}");
-                if deny {
-                    std::process::exit(1);
-                }
-            }
-        }
+        write!(o, "{}", solver_speed(&m).render());
     }
 
     if cmd == "opt" {
-        println!("== Opt: mid-end pass-pipeline impact, every suite + Livermore ==");
-        println!("(quick deterministic budgets — every number reproduces exactly)");
-        println!(
-            "{:<12} {:>5} {:>7} {:>7} {:>5} {:>7} {:>7} {:>7} {:>6} {:>5} {:>10} {:>10}",
+        writeln!(
+            o,
+            "== Opt: mid-end pass-pipeline impact, every suite + Livermore ==\n\
+             (quick deterministic budgets — every number reproduces exactly)\n\
+             {:<12} {:>5} {:>7} {:>7} {:>5} {:>7} {:>7} {:>7} {:>6} {:>5} {:>10} {:>10}",
             "suite",
             "loops",
             "ops",
@@ -397,9 +383,10 @@ fn main() {
             "piv off",
             "piv full"
         );
-        let impact = opt_with(&driver, &m, effort);
-        for r in &impact.rows {
-            println!(
+        let rows = opt_with(&driver, &m, effort);
+        for r in &rows {
+            writeln!(
+                o,
                 "{:<12} {:>5} {:>7} {:>7} {:>5} {:>7} {:>7} {:>7} {:>6} {:>5} {:>10} {:>10}",
                 r.suite,
                 r.loops,
@@ -415,44 +402,45 @@ fn main() {
                 r.pivots_full
             );
         }
-        println!(
-            "figure suites: {} ops removed; pivots {} -> {} (baseline {}); findings {}",
-            impact.figure_ops_removed(),
-            impact.figure_pivots_off(),
-            impact.figure_pivots_full(),
-            opt_gate::BASELINE_TOTAL_PIVOTS,
-            impact.total_findings()
+        let figure = || rows.iter().filter(|r| r.figure);
+        let findings: usize = rows.iter().map(|r| r.findings).sum();
+        writeln!(
+            o,
+            "figure suites: {} ops removed; pivots {} -> {}; findings {findings}",
+            figure().map(|r| r.ops_removed()).sum::<usize>(),
+            figure().map(|r| r.pivots_off).sum::<u64>(),
+            figure().map(|r| r.pivots_full).sum::<u64>()
         );
-        println!(
-            "gate floors: findings == 0, audit errors == 0, full pivots < off and < {} \
-             (ceiling {}), ops removed >= {}, livermore recmii drops >= {}, II improved >= {}",
-            opt_gate::BASELINE_TOTAL_PIVOTS,
-            opt_gate::MAX_FIGURE_PIVOTS_FULL,
-            opt_gate::MIN_FIGURE_OPS_REMOVED,
-            opt_gate::MIN_LIVERMORE_RECMII_DROPS,
-            opt_gate::MIN_LIVERMORE_II_IMPROVED
-        );
-        match impact.gate() {
-            Ok(()) => println!("gate: ok"),
-            Err(e) => {
-                println!("gate: FAIL — {e}");
-                if deny {
-                    std::process::exit(1);
-                }
+        for r in rows.iter().filter(|r| !r.figure) {
+            writeln!(
+                o,
+                "{}: II improved on {}/{} loops",
+                r.suite, r.ii_improved, r.loops
+            );
+        }
+        let audit_errors: usize = rows.iter().map(|r| r.audit_errors).sum();
+        for (n, what) in [
+            (findings, "SWP-P validation findings"),
+            (audit_errors, "error-severity audit findings"),
+        ] {
+            if n > 0 {
+                violations.push(format!("opt: {n} {what}"));
             }
         }
     }
 
     if cmd == "audit" {
-        println!("== Audit: translation validation, every suite x both schedulers ==");
-        println!(
-            "{:<12} {:<10} {:>6} {:>7} {:>9} {:>6}",
+        writeln!(
+            o,
+            "== Audit: translation validation, every suite x both schedulers ==\n\
+             {:<12} {:<10} {:>6} {:>7} {:>9} {:>6}",
             "suite", "scheduler", "loops", "errors", "warnings", "notes"
         );
         let rows = audit_with(&driver, &m, effort);
         let mut total = 0usize;
         for r in &rows {
-            println!(
+            writeln!(
+                o,
                 "{:<12} {:<10} {:>6} {:>7} {:>9} {:>6}",
                 r.audit.name,
                 r.scheduler,
@@ -463,32 +451,33 @@ fn main() {
             );
             for l in &r.audit.loops {
                 if !l.report.findings.is_empty() {
-                    println!("  {}::{} (II={}):", r.audit.name, l.loop_name, l.ii);
+                    writeln!(o, "  {}::{} (II={}):", r.audit.name, l.loop_name, l.ii);
                     for line in l.report.render_human().lines() {
-                        println!("    {line}");
+                        writeln!(o, "    {line}");
                     }
                 }
             }
             total += r.findings();
         }
-        println!("total findings: {total}");
-        if deny && total > 0 {
-            std::process::exit(1);
+        writeln!(o, "total findings: {total}");
+        if total > 0 {
+            violations.push(format!("audit: {total} findings"));
         }
     }
 
     if cmd == "chaos" {
         // Injected panics are the point; keep their backtraces out of the log.
         showdown::hush_injected_panics();
-        println!("== Chaos: fault injection vs the degradation ladder, every suite ==");
-        println!(
-            "{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>11}",
+        writeln!(
+            o,
+            "== Chaos: fault injection vs the degradation ladder, every suite ==\n\
+             {:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>11}",
             "scenario", "loops", "r0", "r1", "r2", "r3", "r4", "quar", "escapes", "violations"
         );
         let rows = chaos_with(&driver, &m, effort);
         let mut total_violations = 0usize;
         for sc in &chaos_scenarios() {
-            let (mut loops, mut quar, mut escapes, mut violations) = (0usize, 0, 0, 0);
+            let (mut loops, mut quar, mut escapes, mut broken) = (0usize, 0, 0, 0);
             let mut usage = [0usize; 5];
             for r in rows.iter().filter(|r| r.scenario == sc.name) {
                 loops += r.suite.loops.len();
@@ -497,10 +486,11 @@ fn main() {
                 }
                 quar += r.suite.quarantined();
                 escapes += r.escapes();
-                violations += r.violations();
+                broken += r.violations();
             }
-            total_violations += violations;
-            println!(
+            total_violations += broken;
+            writeln!(
+                o,
                 "{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>11}",
                 sc.name,
                 loops,
@@ -511,18 +501,19 @@ fn main() {
                 usage[4],
                 quar,
                 escapes,
-                violations
+                broken
             );
         }
         for r in rows.iter().filter(|r| r.violations() > 0) {
-            println!("  VIOLATION in {} under {}:", r.suite.name, r.scenario);
+            writeln!(o, "  VIOLATION in {} under {}:", r.suite.name, r.scenario);
             for l in &r.suite.loops {
                 let bad = match &l.outcome {
                     Ok(s) => !s.clean,
                     Err(_) => !r.expect_quarantine,
                 };
                 if bad || l.escapes() > 0 {
-                    println!(
+                    writeln!(
+                        o,
                         "    {}: {}",
                         l.loop_name,
                         showdown::render_attempts(l.attempts())
@@ -531,38 +522,29 @@ fn main() {
             }
         }
         let usage = chaos_rung_usage(&rows);
-        println!(
+        writeln!(
+            o,
             "control rung usage (no faults): ilp={} sat={} heuristic={} escalated={} sequential={}",
             usage[0], usage[1], usage[2], usage[3], usage[4]
         );
-        println!("total containment violations: {total_violations}");
-        if deny && total_violations > 0 {
-            std::process::exit(1);
+        writeln!(o, "total containment violations: {total_violations}");
+        if total_violations > 0 {
+            violations.push(format!("chaos: {total_violations} containment violations"));
         }
     }
 
     if cmd == "portfolio" {
-        println!("== Portfolio: ILP vs SAT vs heuristic, raced per loop ==");
-        println!(
-            "{:<12} {:>5} {:>4} {:>4} {:>4} {:>4} {:>7} {:>6} {:>9} {:>9} {:>9} {:>9}",
-            "suite",
-            "loops",
-            "ilp",
-            "sat",
-            "heur",
-            "none",
-            "sat=ilp",
-            "viols",
-            "race(ms)",
-            "ilp(ms)",
-            "sat(ms)",
-            "heur(ms)"
+        writeln!(
+            o,
+            "== Portfolio: ILP vs SAT vs heuristic, raced per loop ==\n\
+             {:<12} {:>5} {:>4} {:>4} {:>4} {:>4} {:>7} {:>6}",
+            "suite", "loops", "ilp", "sat", "heur", "none", "sat=ilp", "viols"
         );
         let rows = portfolio_sweep(&m);
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         for r in &rows {
-            println!(
-                "{:<12} {:>5} {:>4} {:>4} {:>4} {:>4} {:>3}/{:<3} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
+            writeln!(
+                o,
+                "{:<12} {:>5} {:>4} {:>4} {:>4} {:>4} {:>3}/{:<3} {:>6}",
                 r.name,
                 r.loops,
                 r.ilp_wins,
@@ -571,28 +553,28 @@ fn main() {
                 r.no_winner,
                 r.sat_ii_matches,
                 r.both_optimal,
-                r.determinism_violations,
+                r.determinism_violations
+            );
+        }
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        for r in &rows {
+            eprintln!(
+                "{:<12} wall ms: race {:.1}, ilp {:.1}, sat {:.1}, heur {:.1}",
+                r.name,
                 ms(r.portfolio_wall),
                 ms(r.ilp_wall),
                 ms(r.sat_wall),
                 ms(r.heur_wall)
             );
         }
-        let violations: usize = rows.iter().map(|r| r.determinism_violations).sum();
-        let livermore = rows
-            .iter()
-            .find(|r| r.name == "livermore")
-            .expect("sweep always includes the kernels");
-        let wall_ok = portfolio_wall_gate(&rows);
-        println!(
-            "gates: livermore sat=ilp {}/{} (floor 20), determinism violations {violations} \
-             (floor 0), wall-vs-slowest-backend {}",
-            livermore.sat_ii_matches,
-            livermore.both_optimal,
-            if wall_ok { "ok" } else { "FAIL" }
-        );
-        if deny && (livermore.sat_ii_matches < 20 || violations > 0 || !wall_ok) {
-            std::process::exit(1);
+        let determinism: usize = rows.iter().map(|r| r.determinism_violations).sum();
+        if determinism > 0 {
+            violations.push(format!("portfolio: {determinism} determinism violations"));
+        }
+        if !portfolio_wall_gate(&rows) {
+            violations.push(
+                "portfolio: racing cost more than 1.5x the slowest backend + 500 ms".to_owned(),
+            );
         }
     }
 
@@ -601,86 +583,172 @@ fn main() {
             .iter()
             .position(|a| a == "--trace")
             .and_then(|i| args.get(i + 1));
-        println!("== Profile: traced telemetry over the profile workload ==");
+        writeln!(
+            o,
+            "== Profile: traced telemetry over the profile workload =="
+        );
         let report = profile_workload(&m, threads);
-        print!("{}", report.telemetry.render_report());
-        println!(
-            "compiles issued: {}; cache: {} hits / {} misses; spans recorded: {}",
+        put_report(&mut o, &report.telemetry.render_report());
+        let (d, s) = (report.cache, report.server_cache);
+        writeln!(
+            o,
+            "compiles issued: {}; cache: {} hits / {} misses (driver), {} hits / {} misses \
+             (server); spans recorded: {}",
             report.loops,
-            report.cache.hits,
-            report.cache.misses,
+            d.hits,
+            d.misses,
+            s.hits,
+            s.misses,
             report.telemetry.span_count()
         );
+        let counters = report.telemetry.counters();
+        for (counter, cached) in [
+            (Counter::CacheHits, d.hits + s.hits),
+            (Counter::CacheMisses, d.misses + s.misses),
+        ] {
+            let registry = counters.get(counter);
+            if registry != cached {
+                violations.push(format!(
+                    "profile: registry {} is {registry}, driver + server caches say {cached}",
+                    counter.name()
+                ));
+            }
+        }
+        let dead = report.telemetry.dead_exact_metrics();
+        if !dead.is_empty() {
+            violations.push(format!(
+                "profile: registered but never incremented: {dead:?}"
+            ));
+        }
         if let Some(path) = trace_path {
             let json = report.telemetry.chrome_trace_json();
             match swp_obs::validate_chrome_trace(&json) {
-                Ok(events) => println!("trace: {events} events, schema ok"),
-                Err(e) => {
-                    eprintln!("trace: INVALID chrome trace — {e}");
-                    std::process::exit(1);
+                Ok(events) => {
+                    swp_serve::write_atomic(std::path::Path::new(path), json.as_bytes())
+                        .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
+                    eprintln!("trace: {events} events, schema ok, written to {path}");
                 }
+                Err(e) => violations.push(format!("profile: invalid chrome trace — {e}")),
             }
-            swp_serve::write_atomic(std::path::Path::new(path), json.as_bytes())
-                .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
-            println!("trace written to {path}");
-        }
-        let dead = report.telemetry.dead_exact_metrics();
-        if dead.is_empty() {
-            println!("dead-metric lint: ok (every Exact metric incremented)");
-        } else {
-            println!("dead-metric lint: FAIL — registered but never incremented: {dead:?}");
-            std::process::exit(1);
         }
     }
 
     if cmd == "serve-chaos" {
-        println!("== Serve chaos: service-layer fault injection ==");
-        println!("{:<28} {:>6}  detail", "scenario", "pass");
+        writeln!(
+            o,
+            "== Serve chaos: service-layer fault injection ==\n{:<28} {:>6}",
+            "scenario", "pass"
+        );
         let root = serve_root("chaos");
         let reports = swp_serve::service_chaos(&m, &root);
         let mut failed = 0usize;
         for r in &reports {
-            println!(
-                "{:<28} {:>6}  {}",
+            writeln!(
+                o,
+                "{:<28} {:>6}",
                 r.scenario,
-                if r.passed { "ok" } else { "FAIL" },
-                r.detail
+                if r.passed { "ok" } else { "FAIL" }
             );
-            failed += usize::from(!r.passed);
+            eprintln!("{}: {}", r.scenario, r.detail);
+            if !r.passed {
+                failed += 1;
+                violations.push(format!("serve-chaos: {} failed: {}", r.scenario, r.detail));
+            }
         }
-        println!("scenarios failed: {failed}/{}", reports.len());
+        writeln!(o, "scenarios failed: {failed}/{}", reports.len());
         let _ = std::fs::remove_dir_all(&root);
-        if deny && failed > 0 {
-            std::process::exit(1);
-        }
     }
 
     if cmd == "serve-smoke" {
-        println!("== Serve smoke: 8-client saturation + kill/restart warm-hit gate ==");
         let root = serve_root("smoke");
         let sat =
             swp_serve::saturate(&m, 8, &root).unwrap_or_else(|e| panic!("saturation smoke: {e}"));
         let _ = std::fs::remove_dir_all(&root);
-        print_saturation(&sat);
-        let mut failures = Vec::new();
+        writeln!(
+            o,
+            "== Serve smoke: 8-client saturation + kill/restart warm-hit gate ==\n\
+             {} clients x {} loops/phase; error replies: {}",
+            sat.clients, sat.loops_per_phase, sat.errors
+        );
+        // The load-dependent half: latencies and server counters.
+        for (name, p) in [
+            ("cold", &sat.cold),
+            ("warm", &sat.warm),
+            ("restart", &sat.restart),
+        ] {
+            eprintln!(
+                "{name:<8} {} batches, p50 {} us, p99 {} us",
+                p.batches, p.p50_us, p.p99_us
+            );
+        }
+        eprintln!(
+            "cold server: {} admitted, {} demoted, {} persisted; restart server: {} disk hits / \
+             {} admitted ({:.0}% disk hit rate), {} recompiles",
+            sat.cold_stats.admitted,
+            sat.cold_stats.demoted,
+            sat.cold_stats.store.persisted,
+            sat.restart_stats.store.hits,
+            sat.restart_stats.admitted,
+            100.0 * sat.restart_hit_rate(),
+            sat.restart_stats.cache.misses
+        );
         if sat.errors > 0 {
-            failures.push(format!(
-                "{} error replies (overload must demote, never reject)",
+            violations.push(format!(
+                "serve-smoke: {} error replies (overload must demote, never reject)",
                 sat.errors
             ));
         }
         if sat.restart_hit_rate() <= 0.0 {
-            failures.push("restart phase served zero disk hits".to_owned());
+            violations.push("serve-smoke: restart phase served zero disk hits".to_owned());
         }
-        if failures.is_empty() {
-            println!("gate: ok");
+    }
+
+    for v in &violations {
+        eprintln!("violation: {v}");
+    }
+    if let (true, Some(golden)) = (deny, golden) {
+        let diff = diff_golden(golden, &o.0);
+        if let Err(e) = &diff {
+            eprintln!("golden: stdout differs from gates/{cmd}.golden at {e}");
+        }
+        if diff.is_err() || !violations.is_empty() {
+            std::process::exit(1);
+        }
+        eprintln!("gate: ok (stdout matches gates/{cmd}.golden, no violations)");
+    }
+}
+
+/// Close a figure with the cache hits/misses it contributed.
+fn report_cache(o: &mut Stdout, driver: &Driver, before: showdown::CacheStats) {
+    let after = driver.cache_stats();
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    let total = hits + misses;
+    writeln!(
+        o,
+        "[cache] {hits} hits / {misses} misses ({:.0}% hit rate)\n",
+        100.0 * hits as f64 / (total.max(1)) as f64
+    );
+}
+
+/// Split the telemetry report: `Timing`-class counters (marked
+/// `(timing)`) and each `Timing` histogram (its header and bucket lines)
+/// go to stderr, everything else to stdout.
+fn put_report(o: &mut Stdout, report: &str) {
+    let timing_histos: Vec<String> = Histo::ALL
+        .iter()
+        .filter(|h| h.class() == Class::Timing)
+        .map(|h| format!("  {} (", h.name()))
+        .collect();
+    let mut timing = false;
+    for line in report.lines() {
+        if !line.starts_with("    <=") {
+            timing =
+                line.ends_with("(timing)") || timing_histos.iter().any(|p| line.starts_with(p));
+        }
+        if timing {
+            eprintln!("{line}");
         } else {
-            for f in &failures {
-                println!("gate: FAIL — {f}");
-            }
-            if deny {
-                std::process::exit(1);
-            }
+            writeln!(o, "{line}");
         }
     }
 }
@@ -690,36 +758,4 @@ fn serve_root(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("swp-exp-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn print_saturation(sat: &swp_serve::SaturationReport) {
-    println!(
-        "{} clients x {} loops/phase; error replies: {}",
-        sat.clients, sat.loops_per_phase, sat.errors
-    );
-    println!(
-        "{:<8} {:>8} {:>10} {:>10}",
-        "phase", "batches", "p50(us)", "p99(us)"
-    );
-    for (name, p) in [
-        ("cold", &sat.cold),
-        ("warm", &sat.warm),
-        ("restart", &sat.restart),
-    ] {
-        println!(
-            "{:<8} {:>8} {:>10} {:>10}",
-            name, p.batches, p.p50_us, p.p99_us
-        );
-    }
-    println!(
-        "cold server: {} admitted, {} demoted, {} persisted; restart server: {} disk hits / {} \
-         admitted ({:.0}% disk hit rate), {} recompiles",
-        sat.cold_stats.admitted,
-        sat.cold_stats.demoted,
-        sat.cold_stats.store.persisted,
-        sat.restart_stats.store.hits,
-        sat.restart_stats.admitted,
-        100.0 * sat.restart_hit_rate(),
-        sat.restart_stats.cache.misses
-    );
 }

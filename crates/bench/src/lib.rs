@@ -863,94 +863,47 @@ pub struct SolverRow {
 /// The `experiments solver` speed table: deterministic solver-work
 /// counters over the 24 Livermore kernels. Because the quick budgets are
 /// pure node/pivot counts (no wall clock), every field reproduces exactly
-/// on any machine — which is what lets CI gate on them.
+/// on any machine — which is what lets `gates/solver.golden` pin them.
 #[derive(Debug, Clone)]
 pub struct SolverSpeed {
     /// Per-kernel rows, kernel order.
     pub rows: Vec<SolverRow>,
 }
 
-/// Committed floors for the CI solver-speed gate (see
-/// [`SolverSpeed::gate`]). These are deliberately loose — roughly 2× the
-/// measured values — so they only trip on a real efficiency regression,
-/// not on a legitimate formulation change; update them alongside any
-/// intentional solver change.
-pub mod solver_gate {
-    /// Every Livermore kernel must schedule without fallback under the
-    /// deterministic quick budgets.
-    pub const MIN_SOLVED: usize = 24;
-    /// Ceiling on total branch-and-bound nodes across all 24 kernels
-    /// (measured: 36,343).
-    pub const MAX_TOTAL_NODES: u64 = 75_000;
-    /// Ceiling on total simplex pivots across all 24 kernels
-    /// (measured: 175,623).
-    pub const MAX_TOTAL_PIVOTS: u64 = 350_000;
-    /// Ceiling on average pivots per node — the warm-start payoff. A
-    /// cold-solving branch-and-bound pays on the order of the basis
-    /// dimension in pivots at every node (hundreds, for these models);
-    /// the warm dual path measures 4.83 across the suite and must stay
-    /// far below cold cost.
-    pub const MAX_PIVOTS_PER_NODE: f64 = 10.0;
-}
-
 impl SolverSpeed {
-    /// Kernels MOST scheduled within budget.
-    pub fn solved(&self) -> usize {
-        self.rows.iter().filter(|r| r.ii.is_some()).count()
-    }
-
-    /// Total branch-and-bound nodes.
-    pub fn total_nodes(&self) -> u64 {
-        self.rows.iter().map(|r| r.nodes).sum()
-    }
-
-    /// Total simplex pivots.
-    pub fn total_pivots(&self) -> u64 {
-        self.rows.iter().map(|r| r.pivots).sum()
-    }
-
-    /// Average simplex pivots per branch-and-bound node (the
-    /// warm-start efficiency measure).
-    pub fn pivots_per_node(&self) -> f64 {
-        self.total_pivots() as f64 / self.total_nodes().max(1) as f64
-    }
-
-    /// Check the committed [`solver_gate`] floors.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated floor.
-    pub fn gate(&self) -> Result<(), String> {
-        if self.solved() < solver_gate::MIN_SOLVED {
-            return Err(format!(
-                "only {}/{} kernels solved (floor {})",
-                self.solved(),
-                self.rows.len(),
-                solver_gate::MIN_SOLVED
-            ));
+    /// The `experiments solver` stdout: the per-kernel table and its
+    /// totals, byte for byte what `gates/solver.golden` pins.
+    pub fn render(&self) -> String {
+        let mut out = String::from(
+            "== Solver speed: MOST work counters, 24 Livermore kernels ==\n\
+             (deterministic quick budgets, fallback off — counters reproduce exactly)\n",
+        );
+        out += &format!(
+            "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10}\n",
+            "k", "name", "ops", "ii", "nodes", "pivots", "piv/node"
+        );
+        for r in &self.rows {
+            let ii = r.ii.map_or_else(|| "-".to_owned(), |ii| ii.to_string());
+            out += &format!(
+                "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10.2}\n",
+                r.number,
+                r.name,
+                r.ops,
+                ii,
+                r.nodes,
+                r.pivots,
+                r.pivots as f64 / r.nodes.max(1) as f64
+            );
         }
-        if self.total_nodes() > solver_gate::MAX_TOTAL_NODES {
-            return Err(format!(
-                "total nodes {} exceeds ceiling {}",
-                self.total_nodes(),
-                solver_gate::MAX_TOTAL_NODES
-            ));
-        }
-        if self.total_pivots() > solver_gate::MAX_TOTAL_PIVOTS {
-            return Err(format!(
-                "total pivots {} exceeds ceiling {}",
-                self.total_pivots(),
-                solver_gate::MAX_TOTAL_PIVOTS
-            ));
-        }
-        if self.pivots_per_node() > solver_gate::MAX_PIVOTS_PER_NODE {
-            return Err(format!(
-                "{:.2} pivots/node exceeds ceiling {}",
-                self.pivots_per_node(),
-                solver_gate::MAX_PIVOTS_PER_NODE
-            ));
-        }
-        Ok(())
+        let nodes: u64 = self.rows.iter().map(|r| r.nodes).sum();
+        let pivots: u64 = self.rows.iter().map(|r| r.pivots).sum();
+        out += &format!(
+            "solved {}/{}; total {nodes} nodes, {pivots} pivots; {:.2} pivots/node\n",
+            self.rows.iter().filter(|r| r.ii.is_some()).count(),
+            self.rows.len(),
+            pivots as f64 / nodes.max(1) as f64
+        );
+        out
     }
 }
 
@@ -1004,9 +957,8 @@ pub fn solver_speed(machine: &Machine) -> SolverSpeed {
 pub struct OptRow {
     /// Suite name (`"livermore"` for the kernel pseudo-suite).
     pub suite: String,
-    /// Whether this suite is part of the figure set whose pivot totals
-    /// are compared against the committed `BENCH_pr5.json` baseline
-    /// (Livermore is tracked in the table but not in that baseline).
+    /// Whether this suite is part of the figure set summed in the
+    /// `figure suites:` line (Livermore gets its own summary line).
     pub figure: bool,
     /// Loops in the suite.
     pub loops: usize,
@@ -1041,151 +993,16 @@ impl OptRow {
     }
 }
 
-/// The full `experiments opt` sweep result.
-#[derive(Debug, Clone)]
-pub struct OptImpact {
-    /// Per-suite rows, figure suites first, then Livermore.
-    pub rows: Vec<OptRow>,
-}
-
-/// Committed floors for the CI opt-impact gate (see [`OptImpact::gate`]).
-/// Like [`solver_gate`], ceilings are deliberately loose (~2× measured)
-/// and floors conservative (~half measured), so the gate trips on real
-/// regressions, not on noise from a legitimate pass change; update them
-/// alongside any intentional pipeline change.
-pub mod opt_gate {
-    /// `total_pivots` committed in `BENCH_pr5.json`: the figure suites
-    /// under the quick deterministic ILP budgets *without* the mid-end.
-    /// The optimized sweep must beat it.
-    pub const BASELINE_TOTAL_PIVOTS: u64 = 3_099_181;
-    /// Ceiling on figure-suite pivots with the pipeline on
-    /// (measured: 3,018,128 — doduc's GVN load merge is the big win;
-    /// the fusion profitability guard keeps swm256 off the regression
-    /// list). Deliberately below [`BASELINE_TOTAL_PIVOTS`] with ~1%
-    /// headroom for benign model drift.
-    pub const MAX_FIGURE_PIVOTS_FULL: u64 = 3_050_000;
-    /// Floor on total ops removed across the figure suites
-    /// (measured: 4 — the II-profitability guard deliberately leaves
-    /// neutral rewrites alone, so this is small by design).
-    pub const MIN_FIGURE_OPS_REMOVED: usize = 2;
-    /// At least this many Livermore kernels must see RecMII drop via
-    /// recurrence re-association (measured: 5).
-    pub const MIN_LIVERMORE_RECMII_DROPS: usize = 3;
-    /// At least this many Livermore kernels must see their *achieved* II
-    /// improve at `Full` (measured: 6; aggregate II 201 → 185).
-    pub const MIN_LIVERMORE_II_IMPROVED: usize = 3;
-}
-
-impl OptImpact {
-    /// Rows belonging to the figure set (everything but Livermore).
-    fn figure_rows(&self) -> impl Iterator<Item = &OptRow> {
-        self.rows.iter().filter(|r| r.figure)
-    }
-
-    /// The Livermore pseudo-suite row.
-    fn livermore(&self) -> Option<&OptRow> {
-        self.rows.iter().find(|r| !r.figure)
-    }
-
-    /// Figure-suite pivots at `Off` — comparable to `BENCH_pr5.json`.
-    pub fn figure_pivots_off(&self) -> u64 {
-        self.figure_rows().map(|r| r.pivots_off).sum()
-    }
-
-    /// Figure-suite pivots at `Full`.
-    pub fn figure_pivots_full(&self) -> u64 {
-        self.figure_rows().map(|r| r.pivots_full).sum()
-    }
-
-    /// Ops removed across the figure suites.
-    pub fn figure_ops_removed(&self) -> usize {
-        self.figure_rows().map(OptRow::ops_removed).sum()
-    }
-
-    /// `SWP-P0xx` validation findings across every suite.
-    pub fn total_findings(&self) -> usize {
-        self.rows.iter().map(|r| r.findings).sum()
-    }
-
-    /// Error-severity audit findings across every suite.
-    pub fn total_audit_errors(&self) -> usize {
-        self.rows.iter().map(|r| r.audit_errors).sum()
-    }
-
-    /// Check the committed [`opt_gate`] floors.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated floor.
-    pub fn gate(&self) -> Result<(), String> {
-        if self.total_findings() > 0 {
-            return Err(format!(
-                "{} SWP-P validation findings (floor: 0)",
-                self.total_findings()
-            ));
-        }
-        if self.total_audit_errors() > 0 {
-            return Err(format!(
-                "{} error-severity audit findings on optimized compiles (floor: 0)",
-                self.total_audit_errors()
-            ));
-        }
-        let full = self.figure_pivots_full();
-        let off = self.figure_pivots_off();
-        if full >= off {
-            return Err(format!(
-                "figure-suite pivots did not decrease: {full} at Full vs {off} at Off"
-            ));
-        }
-        if full >= opt_gate::BASELINE_TOTAL_PIVOTS {
-            return Err(format!(
-                "figure-suite pivots {full} at Full not below the BENCH_pr5.json baseline {}",
-                opt_gate::BASELINE_TOTAL_PIVOTS
-            ));
-        }
-        if full > opt_gate::MAX_FIGURE_PIVOTS_FULL {
-            return Err(format!(
-                "figure-suite pivots {full} exceed ceiling {}",
-                opt_gate::MAX_FIGURE_PIVOTS_FULL
-            ));
-        }
-        if self.figure_ops_removed() < opt_gate::MIN_FIGURE_OPS_REMOVED {
-            return Err(format!(
-                "only {} ops removed across figure suites (floor {})",
-                self.figure_ops_removed(),
-                opt_gate::MIN_FIGURE_OPS_REMOVED
-            ));
-        }
-        let lk = self
-            .livermore()
-            .ok_or_else(|| "no livermore row in the sweep".to_owned())?;
-        if lk.recmii_drops < opt_gate::MIN_LIVERMORE_RECMII_DROPS {
-            return Err(format!(
-                "only {} Livermore kernels saw RecMII drop (floor {})",
-                lk.recmii_drops,
-                opt_gate::MIN_LIVERMORE_RECMII_DROPS
-            ));
-        }
-        if lk.ii_improved < opt_gate::MIN_LIVERMORE_II_IMPROVED {
-            return Err(format!(
-                "only {} Livermore kernels improved achieved II (floor {})",
-                lk.ii_improved,
-                opt_gate::MIN_LIVERMORE_II_IMPROVED
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// The `experiments opt` sweep: every figure suite plus the Livermore
 /// kernels, each loop (a) run through the full pass pipeline directly —
 /// translation-validated by differential simulation — for the table's
 /// op-count/RecMII columns, and (b) compiled with the ILP scheduler at
 /// [`showdown::OptLevel::Off`] and `Full` for the achieved-II and
 /// simplex-pivot columns. Quick-effort budgets are deterministic, so
-/// every number here reproduces exactly — which is what lets CI gate on
-/// the committed [`opt_gate`] floors.
-pub fn opt_with(driver: &Driver, machine: &Machine, effort: Effort) -> OptImpact {
+/// every number here reproduces exactly — which is what lets
+/// `gates/opt.golden` pin them. One row per suite, figure suites first,
+/// then Livermore.
+pub fn opt_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<OptRow> {
     let mut suites = scaled_suites(effort);
     suites.push(Suite {
         name: "livermore",
@@ -1259,7 +1076,7 @@ pub fn opt_with(driver: &Driver, machine: &Machine, effort: Effort) -> OptImpact
             pivots_full: full.stats.pivots,
         }
     });
-    let rows = suites
+    suites
         .iter()
         .enumerate()
         .map(|(s, suite)| {
@@ -1281,8 +1098,7 @@ pub fn opt_with(driver: &Driver, machine: &Machine, effort: Effort) -> OptImpact
                 pivots_full: loops.iter().map(|li| li.pivots_full).sum(),
             }
         })
-        .collect();
-    OptImpact { rows }
+        .collect()
 }
 
 /// Ablation (§3.3 adj. 3): MOST with and without priority-order branching.
@@ -1420,7 +1236,8 @@ pub fn ablation_spill(machine: &Machine) -> SpillAblation {
 
 /// What one traced run of the [`profile_workload`] produced: the
 /// telemetry handle (spans, counters, histograms — render or export it),
-/// how many compiles were issued, and the driver-side cache tallies.
+/// how many compiles were issued, and the cache tallies of the workload
+/// driver and of the compile server it round-trips through.
 #[derive(Debug)]
 pub struct ProfileReport {
     /// The traced handle every compile in the workload reported into.
@@ -1429,6 +1246,9 @@ pub struct ProfileReport {
     pub loops: usize,
     /// Hit/miss tallies from the workload driver's schedule cache.
     pub cache: showdown::CacheStats,
+    /// Hit/miss tallies from the compile server's own schedule cache.
+    /// The registry's `cache.*` counters are `cache` plus this.
+    pub server_cache: showdown::CacheStats,
 }
 
 /// The `experiments profile` workload: a deliberately varied compile mix
@@ -1641,7 +1461,7 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
     // registry rows are exercised: handler threads install this same
     // collector, so `serve.admitted` (Exact) lands here and the
     // dead-metric lint covers the service layer too.
-    {
+    let server_cache = {
         let socket = std::env::temp_dir().join(format!("swp-profile-{}.sock", std::process::id()));
         let mut opts = swp_serve::ServerOptions::at(socket);
         opts.telemetry = telemetry.clone();
@@ -1661,12 +1481,14 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
             .compile_batch(&batch)
             .expect("profile serve response");
         loops += resp.results.len();
-    }
+        server.stats().cache
+    };
 
     ProfileReport {
         telemetry,
         loops,
         cache: driver.cache_stats(),
+        server_cache,
     }
 }
 
@@ -1722,6 +1544,33 @@ fn opt_workload_loops() -> Vec<swp_ir::Loop> {
     vec![mix.finish(), red.finish()]
 }
 
+/// The one `-D` check: a subcommand's stdout must equal its committed
+/// golden, `gates/<cmd>.golden`, byte for byte. A missing or extra
+/// trailing newline is a difference like any other.
+///
+/// # Errors
+///
+/// Names the first differing line (1-based) with the expected and the
+/// actual text.
+pub fn diff_golden(golden: &str, got: &str) -> Result<(), String> {
+    let (mut want, mut have) = (golden.split_inclusive('\n'), got.split_inclusive('\n'));
+    let show = |l: Option<&str>| l.map_or_else(|| "end of output".to_owned(), |l| format!("{l:?}"));
+    for line in 1usize.. {
+        match (want.next(), have.next()) {
+            (None, None) => break,
+            (w, h) if w == h => {}
+            (w, h) => {
+                return Err(format!(
+                    "line {line}: expected {}, got {}",
+                    show(w),
+                    show(h)
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1768,12 +1617,13 @@ mod tests {
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "integration-scale; run with --release")]
-    fn solver_gate_holds_and_reproduces_exactly() {
+    fn solver_table_matches_its_golden_and_reproduces_exactly() {
         let m = Machine::r8000();
         let a = solver_speed(&m);
-        a.gate().unwrap_or_else(|e| panic!("solver gate: {e}"));
+        let golden = include_str!("../../../gates/solver.golden");
+        assert_eq!(diff_golden(golden, &a.render()), Ok(()));
         // Deterministic budgets: a second run must produce bit-identical
-        // work counters, not merely pass the gate.
+        // work counters.
         let b = solver_speed(&m);
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!(
@@ -1783,6 +1633,24 @@ mod tests {
                 x.name
             );
         }
+    }
+
+    #[test]
+    fn golden_diff_names_the_first_differing_line() {
+        let golden = "== t ==\nsolved 24/24\ntotal 36343\n";
+        assert_eq!(diff_golden(golden, golden), Ok(()));
+        assert_eq!(
+            diff_golden(golden, "== t ==\nsolved 24/24\ntotal 36344\n"),
+            Err(r#"line 3: expected "total 36343\n", got "total 36344\n""#.to_owned())
+        );
+        assert_eq!(
+            diff_golden(golden, "== t ==\nsolved 24/24\ntotal 36343"),
+            Err(r#"line 3: expected "total 36343\n", got "total 36343""#.to_owned())
+        );
+        assert_eq!(
+            diff_golden(golden, "== t ==\nsolved 24/24\n"),
+            Err(r#"line 3: expected "total 36343\n", got end of output"#.to_owned())
+        );
     }
 
     #[test]

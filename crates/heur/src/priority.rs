@@ -45,7 +45,7 @@ impl PriorityHeuristic {
 
 impl fmt::Display for PriorityHeuristic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             PriorityHeuristic::Fdms => "FDMS",
             PriorityHeuristic::Fdnms => "FDNMS",
             PriorityHeuristic::Hms => "HMS",
@@ -267,6 +267,12 @@ mod tests {
     use super::*;
     use swp_ir::LoopBuilder;
     use swp_machine::Machine;
+
+    #[test]
+    fn display_honours_width() {
+        assert_eq!(format!("{:>7}", PriorityHeuristic::Fdms), "   FDMS");
+        assert_eq!(PriorityHeuristic::Fdnms.to_string(), "FDNMS");
+    }
 
     fn chain_loop() -> Loop {
         let mut b = LoopBuilder::new("t");
