@@ -4,17 +4,16 @@
 //! heuristic) makes compilation the bottleneck of every experiment, and
 //! the figure harness recompiles identical (loop body, machine, options)
 //! triples across configurations — fig5 alone compiles each suite loop
-//! with the same MOST options twice. The cache keys compiles by a
-//! *stable* 64-bit fingerprint of the loop body, the machine, and the
-//! scheduler options, and returns the previously expanded
-//! [`CompiledLoop`] on a hit.
+//! with the same MOST options twice. The cache returns the previously
+//! expanded [`CompiledLoop`] on a hit.
 //!
 //! Guarantees:
-//! - **Keying** covers everything scheduling reads: op classes and
-//!   semantics, operand/value topology, memory-access descriptors, array
-//!   shapes, machine identity (name + allocatable registers), and every
-//!   scheduler option. Debug names and the loop name are excluded — two
-//!   α-equivalent bodies schedule identically.
+//! - **Keying** is a stable 64-bit FNV-1a streamed over everything
+//!   scheduling reads: the loop's canonical body, every field of the
+//!   machine, and every scheduler option, in the byte format of
+//!   [`crate::codec`] that the compile service's wire shares. Debug
+//!   names and the loop name are excluded — two α-equivalent bodies
+//!   schedule identically.
 //! - **In-flight dedup**: concurrent requests for one key block on the
 //!   first compile instead of duplicating it, so a parallel run compiles
 //!   each distinct triple exactly once and every consumer observes the
@@ -34,337 +33,46 @@
 //! (`node_limit`, `pivot_limit`) never set that flag and stay fully
 //! memoizable.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
-use crate::compile::{
-    compile_loop_with, CompileError, CompileOptions, CompiledLoop, SchedulerChoice,
-};
-use crate::ladder::{ChaosFault, ChaosOptions, Corruption, LadderOptions};
-use crate::portfolio::PortfolioOptions;
+use crate::codec::{encode_body, encode_machine, encode_options, Fnv1a};
+use crate::compile::{compile_loop_with, CompileError, CompileOptions, CompiledLoop};
 use crate::stage::deadline_hit;
-use swp_heur::HeurOptions;
-use swp_ir::{Loop, OptLevel};
-use swp_machine::{Machine, RegClass};
-use swp_most::MostOptions;
-use swp_sat::SatOptions;
-use swp_verify::VerifyLevel;
+use swp_ir::Loop;
+use swp_machine::Machine;
 
-/// FNV-1a, with explicit length prefixes where variable-length data is
-/// folded in. Stable across runs and platforms (unlike `DefaultHasher`,
-/// which documents no such guarantee).
-struct StableHasher {
-    state: u64,
+thread_local! {
+    /// The last machine keyed on this thread and the hash state after it:
+    /// keys come in long runs against one machine, and comparing it costs
+    /// a fraction of hashing its ~150 bytes again.
+    static MACHINE_PREFIX: RefCell<Option<(Machine, Fnv1a)>> = const { RefCell::new(None) };
 }
 
-impl StableHasher {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-
-    fn new() -> StableHasher {
-        StableHasher {
-            state: Self::OFFSET,
-        }
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.state ^= u64::from(b);
-        self.state = self.state.wrapping_mul(Self::PRIME);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.byte(u8::from(v));
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(v) => {
-                self.byte(1);
-                self.u64(v);
-            }
-            None => self.byte(0),
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-fn fold_loop(h: &mut StableHasher, lp: &Loop) {
-    h.u64(lp.ops().len() as u64);
-    for op in lp.ops() {
-        h.u64(op.class as u64);
-        h.u64(op.sem as u64);
-        h.opt_u64(op.result.map(|v| u64::from(v.0)));
-        h.u64(op.operands.len() as u64);
-        for operand in &op.operands {
-            h.u64(u64::from(operand.value.0));
-            h.u64(u64::from(operand.distance));
-        }
-        match op.mem {
-            Some(m) => {
-                h.byte(1);
-                h.u64(u64::from(m.array.0));
-                h.i64(m.offset);
-                h.i64(m.stride);
-                h.bool(m.indirect);
-            }
-            None => h.byte(0),
-        }
-    }
-    h.u64(lp.values().len() as u64);
-    for v in lp.values() {
-        h.u64(v.class as u64);
-        h.opt_u64(v.def.map(|d| u64::from(d.0)));
-        // Literal bits feed constant folding and strength reduction, so
-        // two loops differing only in a constant must not share a key.
-        h.opt_u64(v.literal);
-    }
-    h.u64(lp.arrays().len() as u64);
-    for a in lp.arrays() {
-        h.u64(u64::from(a.elem_bytes));
-        h.u64(a.base_align);
-    }
-}
-
-fn fold_machine(h: &mut StableHasher, machine: &Machine) {
-    h.str(machine.name());
-    for class in RegClass::ALL {
-        h.u64(u64::from(machine.allocatable(class)));
-    }
-}
-
-// Every `fold_*` below destructures its options struct exhaustively, so
-// a new field that is neither keyed nor explicitly excluded (`cancel: _`)
-// fails to compile instead of silently aliasing cache entries.
-
-/// A wall-clock budget as nanoseconds, saturating.
-fn nanos(d: Option<Duration>) -> Option<u64> {
-    d.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-}
-
-/// Every heuristic knob. The cancel token is deliberately excluded, as
-/// for the optimal backends (see [`fold_sat_options`]).
-fn fold_heur_options(h: &mut StableHasher, opts: &HeurOptions) {
-    let HeurOptions {
-        heuristics,
-        backtrack_budget,
-        bank_pairing,
-        max_ii_factor,
-        enable_spilling,
-        two_phase_search,
-        explore_stalls,
-        cancel: _,
-    } = opts;
-    h.byte(b'H');
-    h.u64(heuristics.len() as u64);
-    for &heur in heuristics {
-        h.u64(heur as u64);
-    }
-    h.u64(u64::from(*backtrack_budget));
-    h.bool(*bank_pairing);
-    h.u64(u64::from(*max_ii_factor));
-    h.bool(*enable_spilling);
-    h.bool(*two_phase_search);
-    h.bool(*explore_stalls);
-}
-
-/// Every MOST knob; the cancel token is excluded (see
-/// [`fold_sat_options`]).
-fn fold_most_options(h: &mut StableHasher, opts: &MostOptions) {
-    let MostOptions {
-        minimize_buffers,
-        node_limit,
-        pivot_limit,
-        time_limit,
-        use_priority_orders,
-        max_ii_factor,
-        fallback,
-        loop_time_limit,
-        loop_pivot_limit,
-        max_ops,
-        cancel: _,
-    } = opts;
-    h.byte(b'M');
-    h.bool(*minimize_buffers);
-    h.u64(*node_limit);
-    h.u64(*pivot_limit);
-    h.opt_u64(nanos(*time_limit));
-    h.bool(*use_priority_orders);
-    h.u64(u64::from(*max_ii_factor));
-    h.bool(*fallback);
-    h.opt_u64(nanos(*loop_time_limit));
-    h.opt_u64(*loop_pivot_limit);
-    h.u64(*max_ops as u64);
-}
-
-/// Every deterministic SAT knob; the cancel token is deliberately
-/// excluded (like telemetry, cancellation cannot change what a
-/// *completed* compile produced, and truncated results are never
-/// memoized anyway — see [`is_transient`]).
-fn fold_sat_options(h: &mut StableHasher, opts: &SatOptions) {
-    let SatOptions {
-        conflict_limit,
-        propagation_limit,
-        time_limit,
-        max_ii_factor,
-        fallback,
-        loop_time_limit,
-        loop_conflict_limit,
-        max_ops,
-        cancel: _,
-    } = opts;
-    h.byte(b'S');
-    h.u64(*conflict_limit);
-    h.u64(*propagation_limit);
-    h.opt_u64(nanos(*time_limit));
-    h.u64(u64::from(*max_ii_factor));
-    h.bool(*fallback);
-    h.opt_u64(nanos(*loop_time_limit));
-    h.opt_u64(*loop_conflict_limit);
-    h.u64(*max_ops as u64);
-}
-
-fn fold_portfolio_options(h: &mut StableHasher, opts: &PortfolioOptions) {
-    let PortfolioOptions {
-        use_ilp,
-        use_sat,
-        use_heur,
-        most,
-        sat,
-        heur,
-    } = opts;
-    h.byte(b'P');
-    h.bool(*use_ilp);
-    h.bool(*use_sat);
-    h.bool(*use_heur);
-    fold_most_options(h, most);
-    fold_sat_options(h, sat);
-    fold_heur_options(h, heur);
-}
-
-fn fold_chaos(h: &mut StableHasher, chaos: &ChaosOptions) {
-    let ChaosOptions {
-        faults,
-        panic_in_flight,
-    } = chaos;
-    h.byte(b'C');
-    for f in faults {
-        h.byte(match f {
-            None => 0,
-            Some(ChaosFault::Panic) => 1,
-            Some(ChaosFault::Exhaust) => 2,
-            Some(ChaosFault::Corrupt(Corruption::NegativeTime)) => 3,
-            Some(ChaosFault::Corrupt(Corruption::ClobberedRegister)) => 4,
-            Some(ChaosFault::Corrupt(Corruption::TamperedExpansion)) => 5,
-        });
-    }
-    h.bool(*panic_in_flight);
-}
-
-fn fold_ladder_options(h: &mut StableHasher, opts: &LadderOptions) {
-    let LadderOptions {
-        most,
-        sat,
-        heur,
-        escalation_rounds,
-        gate,
-        start_rung,
-        chaos,
-    } = opts;
-    h.byte(b'L');
-    fold_most_options(h, most);
-    fold_sat_options(h, sat);
-    fold_heur_options(h, heur);
-    h.u64(u64::from(*escalation_rounds));
-    // A demoted (lower-start) compile is a different artifact from a full
-    // ladder run and must never alias one — overload demotion would
-    // otherwise poison the cache (and the disk store) for quiet requests.
-    h.byte(b'R');
-    h.byte(start_rung.index() as u8);
-    h.byte(b'G');
-    h.byte(match gate {
-        VerifyLevel::Off => 0,
-        VerifyLevel::Schedule => 1,
-        VerifyLevel::Full => 2,
-    });
-    // The chaos plan is part of the key: a fault-injected compile (its
-    // demotions, its rung trace, possibly its gate rejections) must never
-    // be served to — or pollute the memoized entry of — a quiet request
-    // for the same loop.
-    fold_chaos(h, chaos);
-}
-
-fn fold_choice(h: &mut StableHasher, choice: &SchedulerChoice) {
-    // `Heuristic` and `HeuristicWith(default)` request the same compile,
-    // so they must share a key; likewise for `Ilp` and `Ladder`.
-    match choice {
-        SchedulerChoice::Heuristic => fold_heur_options(h, &HeurOptions::default()),
-        SchedulerChoice::HeuristicWith(opts) => fold_heur_options(h, opts),
-        SchedulerChoice::Ilp => fold_most_options(h, &MostOptions::default()),
-        SchedulerChoice::IlpWith(opts) => fold_most_options(h, opts),
-        SchedulerChoice::Sat => fold_sat_options(h, &SatOptions::default()),
-        SchedulerChoice::SatWith(opts) => fold_sat_options(h, opts),
-        SchedulerChoice::Ladder => fold_ladder_options(h, &LadderOptions::default()),
-        SchedulerChoice::LadderWith(opts) => fold_ladder_options(h, opts),
-        SchedulerChoice::Portfolio => fold_portfolio_options(h, &PortfolioOptions::default()),
-        SchedulerChoice::PortfolioWith(opts) => fold_portfolio_options(h, opts),
-    }
-}
-
-fn fold_verify(h: &mut StableHasher, level: VerifyLevel) {
-    h.byte(b'V');
-    h.byte(match level {
-        VerifyLevel::Off => 0,
-        VerifyLevel::Schedule => 1,
-        VerifyLevel::Full => 2,
-    });
-}
-
-fn fold_opt(h: &mut StableHasher, level: OptLevel) {
-    h.byte(b'O');
-    h.byte(match level {
-        OptLevel::Off => 0,
-        OptLevel::Basic => 1,
-        OptLevel::Full => 2,
-    });
-}
-
-/// Compute the cache key for one compile request. The verify level is part of the key: a verified entry carries its audit
-/// report, so it must not be served to an unverified request (and vice
-/// versa — an `Off` entry has no report to serve).
+/// Compute the cache key for one compile request: FNV-1a streamed over
+/// the whole machine, the loop's canonical body and every keyed option
+/// (see [`crate::codec`]); nothing is buffered. The verify level is part
+/// of the key: a verified entry carries its audit report, so it must not
+/// be served to an unverified request (and vice versa — an `Off` entry
+/// has no report to serve).
 ///
 /// The telemetry handle is deliberately **excluded**: unlike chaos or
 /// ladder options it cannot change the compiled artifact, so a traced
 /// compile must alias an untraced one (and vice versa) instead of
 /// recompiling — and, worse, double-counting — per observer.
 pub fn cache_key_with(lp: &Loop, machine: &Machine, options: &CompileOptions) -> u64 {
-    let mut h = StableHasher::new();
-    fold_loop(&mut h, lp);
-    fold_machine(&mut h, machine);
-    fold_choice(&mut h, &options.choice);
-    fold_verify(&mut h, options.verify);
-    fold_opt(&mut h, options.opt);
+    let mut h = MACHINE_PREFIX.with_borrow_mut(|memo| match memo {
+        Some((m, h)) if m == machine => *h,
+        _ => {
+            let mut h = Fnv1a::default();
+            encode_machine(&mut h, machine);
+            memo.insert((machine.clone(), h)).1
+        }
+    });
+    encode_body(&mut h, lp);
+    encode_options(&mut h, options);
     h.finish()
 }
 
@@ -423,26 +131,15 @@ fn is_transient(result: &Result<Arc<CompiledLoop>, CompileError>) -> bool {
     }
 }
 
-/// Aggregate cache counters, for reporting hit rates.
+/// Aggregate cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Requests served from a memoized entry (including requests that
-    /// waited on an in-flight compile of the same key).
+    /// waited on an in-flight compile of the same key, and ready
+    /// [`ScheduleCache::peek`]s).
     pub hits: u64,
     /// Requests that performed the compile.
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hits as a fraction of all requests (0 when empty).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// A thread-safe memo table from compile requests to compiled loops:
@@ -533,14 +230,20 @@ impl ScheduleCache {
         result
     }
 
-    /// Look up a *ready* entry by its precomputed key without compiling,
-    /// waiting on in-flight leaders, or touching the hit/miss counters.
-    /// Layered caches (the compile service's memory → disk → compile
-    /// chain) use this to decide whether the disk store even needs to be
-    /// consulted; `None` covers both "absent" and "still in flight".
+    /// Look up a *ready* entry by its precomputed key without compiling
+    /// or waiting on in-flight leaders. A ready entry counts as a hit, in
+    /// [`Self::stats`] and on the ambient telemetry; a `None` counts
+    /// nothing, since the caller goes on to another layer. Layered caches
+    /// (the compile service's memory → disk → compile chain) use this to
+    /// decide whether the disk store even needs to be consulted; `None`
+    /// covers both "absent" and "still in flight".
     pub fn peek(&self, key: u64) -> Option<Result<Arc<CompiledLoop>, CompileError>> {
         match self.slots.lock().expect("cache lock").get(&key) {
-            Some(Slot::Ready(r)) => Some(r.clone()),
+            Some(Slot::Ready(r)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                swp_obs::count(swp_obs::Counter::CacheHits, 1);
+                Some(r.clone())
+            }
             _ => None,
         }
     }
@@ -583,7 +286,14 @@ impl ScheduleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swp_ir::LoopBuilder;
+    use crate::compile::SchedulerChoice;
+    use crate::ladder::{ChaosFault, ChaosOptions, Corruption, LadderOptions};
+    use crate::portfolio::PortfolioOptions;
+    use swp_heur::HeurOptions;
+    use swp_ir::{LoopBuilder, OptLevel};
+    use swp_most::MostOptions;
+    use swp_sat::SatOptions;
+    use swp_verify::VerifyLevel;
 
     /// The cache key of `choice` at default verify and opt levels.
     fn key(lp: &Loop, m: &Machine, choice: &SchedulerChoice) -> u64 {

@@ -55,6 +55,7 @@
 //! ```
 
 mod cache;
+pub mod codec;
 mod compare;
 mod compile;
 mod ladder;

@@ -134,6 +134,11 @@ impl Machine {
         self.latency[op_index(op)]
     }
 
+    /// Cycles an operation class holds its pipe (1 = fully pipelined).
+    pub fn occupancy(&self, op: OpClass) -> u32 {
+        self.occupancy[op_index(op)]
+    }
+
     /// The resource reservations of an operation class: one issue slot plus
     /// `occupancy` cycles on its pipe.
     pub fn reservations(&self, op: OpClass) -> Vec<Reservation> {
@@ -145,7 +150,7 @@ impl Machine {
             },
             Reservation {
                 class: pipe,
-                duration: self.occupancy[op_index(op)],
+                duration: self.occupancy(op),
             },
         ]
     }

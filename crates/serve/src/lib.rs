@@ -32,7 +32,7 @@ pub use bench::{saturate, PhaseLatency, SaturationReport};
 pub use chaos::{service_chaos, ServiceChaosReport};
 pub use client::Client;
 pub use proto::{
-    decode_payload, encode_message, fnv1a, read_message, write_message, LoopOk, LoopReply, Message,
+    decode_payload, encode_message, read_message, write_message, LoopOk, LoopReply, Message,
     ProtoError, RequestBatch, ResponseBatch, WireChoice, MAGIC, MAX_FRAME, VERSION,
 };
 pub use server::{

@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use showdown::codec::{Fnv1a, Sink};
 use showdown::swp_most::MostOptions;
 use showdown::swp_sat::SatOptions;
 use showdown::{
@@ -37,8 +38,7 @@ use swp_machine::{Machine, RegClass};
 
 use crate::admission::{Admission, AdmissionOptions};
 use crate::proto::{
-    self, fnv1a, Enc, LoopOk, LoopReply, Message, ProtoError, RequestBatch, ResponseBatch,
-    WireChoice,
+    self, LoopOk, LoopReply, Message, ProtoError, RequestBatch, ResponseBatch, WireChoice,
 };
 use crate::store::{DiskStore, Lookup, StoreStats};
 
@@ -454,32 +454,31 @@ fn loop_ok(c: &CompiledLoop, demotion: u32) -> LoopOk {
 }
 
 /// Stable fingerprint of the emitted code: schedule times, all three
-/// expanded sections, and register usage, FNV-hashed over a canonical
-/// little-endian encoding. Everything hashed is deterministic output of
-/// the compiler, so equal fingerprints across a restart certify the
-/// disk store returned exactly what a cold compile produces.
+/// expanded sections, and register usage, FNV-1a streamed over their
+/// canonical little-endian encoding. Everything hashed is deterministic
+/// output of the compiler, so equal fingerprints across a restart certify
+/// the disk store returned exactly what a cold compile produces.
 pub fn code_fingerprint(c: &CompiledLoop) -> u64 {
     let code = &c.code;
-    let mut e = Enc::default();
-    e.u32(code.ii());
-    e.u32(code.stage_count());
-    e.u32(code.unroll());
+    let mut h = Fnv1a::default();
+    h.u32(code.ii());
+    h.u32(code.stage_count());
+    h.u32(code.unroll());
     for &t in code.schedule().times() {
-        e.i64(t);
+        h.i64(t);
     }
     for section in [code.prologue(), code.kernel(), code.epilogue()] {
-        e.u32(section.len() as u32);
-        for op in section {
-            e.u32(op.op.0);
-            e.i64(op.iteration);
-            e.i64(op.cycle);
-        }
+        h.list(section, |h, op| {
+            h.u32(op.op.0);
+            h.i64(op.iteration);
+            h.i64(op.cycle);
+        });
     }
     for class in RegClass::ALL {
-        e.u32(code.regs_used(class));
+        h.u32(code.regs_used(class));
     }
-    e.u32(code.total_regs());
-    fnv1a(&e.buf)
+    h.u32(code.total_regs());
+    h.finish()
 }
 
 #[cfg(test)]

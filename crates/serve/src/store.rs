@@ -3,7 +3,8 @@
 //! One file per compile key: `<key:016x>.rec`, holding
 //! `[magic "SWST"][version u8][key u64 LE][payload length u32 LE]
 //! [payload][FNV-1a of payload, u64 LE]` where the payload is the
-//! standalone [`LoopOk`] encoding from the wire protocol.
+//! standalone [`LoopOk`] encoding from the wire protocol (the shared
+//! [`showdown::codec`] format) and the key is [`showdown::cache_key_with`].
 //!
 //! Crash safety is the classic temp-file-plus-rename protocol: a record
 //! is written to a uniquely named `.tmp` file in the same directory and
@@ -21,13 +22,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::proto::{decode_result, encode_result, fnv1a, LoopOk};
+use crate::proto::{decode_result, encode_result, LoopOk};
+use showdown::codec::{fnv1a, Dec, Sink};
 
 /// Record magic.
 pub const STORE_MAGIC: [u8; 4] = *b"SWST";
 
-/// Record format version.
-pub const STORE_VERSION: u8 = 1;
+/// Record format version. Version 2 keys come from the shared codec; a
+/// version-1 record fails validation, so it is recompiled, never misread.
+pub const STORE_VERSION: u8 = 2;
 
 /// Process-wide counter that keeps temp names unique even when several
 /// writers (or stores) target one directory.
@@ -182,13 +185,10 @@ impl DiskStore {
     /// non-fatal to the service: the reply was already computed.
     pub fn persist(&self, key: u64, ok: &LoopOk) -> io::Result<()> {
         let payload = encode_result(ok);
-        let mut record = Vec::with_capacity(payload.len() + 25);
-        record.extend_from_slice(&STORE_MAGIC);
-        record.push(STORE_VERSION);
-        record.extend_from_slice(&key.to_le_bytes());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        let mut record = record_header(key);
+        record.u32(payload.len() as u32);
+        record.put(&payload);
+        record.u64(fnv1a(&payload));
         let path = self.record_path(key);
         if self.fail_persist_after_tmp.load(Ordering::Relaxed) {
             // Simulated crash between the write and the rename: the temp
@@ -233,24 +233,21 @@ impl DiskStore {
     }
 }
 
+/// A record's fixed prefix: magic, version and key.
+fn record_header(key: u64) -> Vec<u8> {
+    let mut header = STORE_MAGIC.to_vec();
+    header.u8(STORE_VERSION);
+    header.u64(key);
+    header
+}
+
 /// Validate and decode one record. `None` means corrupt — any framing,
 /// key, length, checksum, or payload defect.
 fn parse_record(bytes: &[u8], key: u64) -> Option<LoopOk> {
-    if bytes.len() < 25 || bytes[..4] != STORE_MAGIC || bytes[4] != STORE_VERSION {
-        return None;
-    }
-    let rec_key = u64::from_le_bytes(bytes[5..13].try_into().ok()?);
-    if rec_key != key {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[13..17].try_into().ok()?) as usize;
-    if bytes.len() != 17 + len + 8 {
-        return None;
-    }
-    let payload = &bytes[17..17 + len];
-    let sum = u64::from_le_bytes(bytes[17 + len..].try_into().ok()?);
-    if fnv1a(payload) != sum {
-        return None;
-    }
-    decode_result(payload).ok()
+    let mut d = Dec::new(bytes.strip_prefix(record_header(key).as_slice())?);
+    let len = d.u32("len").ok()? as usize;
+    let payload = d.take(len, "payload").ok()?;
+    let sum = d.u64("sum").ok()?;
+    d.finish().ok()?;
+    (fnv1a(payload) == sum).then(|| decode_result(payload).ok())?
 }

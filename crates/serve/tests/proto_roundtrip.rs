@@ -198,6 +198,22 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 }
 
 #[test]
+fn every_wire_choice_is_its_own_tag() {
+    use showdown::codec::Tag;
+    for (i, choice) in WireChoice::ALL.iter().enumerate() {
+        assert_eq!(choice.index(), i, "{choice:?} is out of place");
+    }
+}
+
+#[test]
+fn a_version_one_payload_is_a_bad_version() {
+    let frame = encode_message(&Message::Error("x".into()));
+    let mut payload = frame[8..].to_vec();
+    payload[1] = 1;
+    assert_eq!(decode_payload(&payload), Err(ProtoError::BadVersion(1)));
+}
+
+#[test]
 fn bad_magic_is_rejected() {
     let mut frame = Vec::new();
     frame.extend_from_slice(b"NOPE");

@@ -8,10 +8,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use showdown::{OptLevel, VerifyLevel};
+use showdown::{CacheStats, OptLevel, VerifyLevel};
 use swp_machine::Machine;
+use swp_serve::store::STORE_VERSION;
 use swp_serve::{
-    AdmissionOptions, Client, LoopOk, RequestBatch, Server, ServerHandle, ServerOptions, WireChoice,
+    encode_message, AdmissionOptions, Client, LoopOk, Message, RequestBatch, Server, ServerHandle,
+    ServerOptions, WireChoice, VERSION,
 };
 
 fn fresh_root(tag: &str) -> PathBuf {
@@ -115,6 +117,65 @@ fn kill_and_restart_serves_warm_from_disk_bit_identically() {
         stats.cache.misses, 0,
         "restart recompiled instead of loading"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_repeated_loop_is_a_counted_memory_hit() {
+    let root = fresh_root("peek");
+    let server = start_server("peek", &root, AdmissionOptions::default());
+    let req = heur_request(5, "it", 1);
+    assert_eq!(compile(&server, &req), compile(&server, &req));
+    let stats = server.stats();
+    assert_eq!(stats.cache, CacheStats { hits: 1, misses: 1 });
+    assert_eq!(stats.store.hits, 0, "memory answered before the disk");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn version_one_store_records_are_recompiled_never_served() {
+    let root = fresh_root("v1-store");
+    let req = heur_request(1, "it", 2);
+    let cold = compile(
+        &start_server("v1-store", &root, AdmissionOptions::default()),
+        &req,
+    );
+    // Age every record to version 1, as an older binary wrote them.
+    for entry in std::fs::read_dir(root.join("store")).expect("store dir") {
+        let path = entry.expect("entry").path();
+        let mut bytes = std::fs::read(&path).expect("record");
+        assert_eq!(bytes[4], STORE_VERSION);
+        bytes[4] = 1;
+        std::fs::write(&path, bytes).expect("rewrite record");
+    }
+    let server = start_server("v1-store", &root, AdmissionOptions::default());
+    assert_eq!(compile(&server, &req), cold);
+    let stats = server.stats();
+    assert_eq!(stats.store.hits, 0, "a version-1 record was served");
+    assert_eq!(stats.store.corrupt_recovered, 2);
+    assert_eq!(stats.cache.misses, 2, "both loops recompiled");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_version_one_frame_is_answered_with_bad_version() {
+    let root = fresh_root("v1-frame");
+    let server = start_server("v1-frame", &root, AdmissionOptions::default());
+    let mut frame = encode_message(&Message::Request(heur_request(1, "old", 1)));
+    assert_eq!(frame[9], VERSION);
+    frame[9] = 1;
+    let mut client = Client::connect(server.socket()).expect("connect");
+    client
+        .set_read_timeout(Duration::from_secs(30))
+        .expect("timeout");
+    client.send_raw(&frame).expect("send");
+    match client.read_message() {
+        Ok(Some(Message::Error(msg))) => {
+            assert!(msg.contains("unsupported protocol version 1"), "{msg}");
+        }
+        other => panic!("expected a version error, got {other:?}"),
+    }
+    assert_eq!(server.stats().admitted, 0);
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -142,21 +142,21 @@ fn cache_keys_are_pinned() {
         ),
     ];
     let expected: [u64; 15] = [
-        0x0e92_adaf_0808_ed65, // heuristic
-        0xcb10_c3cc_b13b_fd57, // heuristic-with
-        0xeaf1_9ebe_d81a_3058, // ilp
-        0xa108_6c98_75f5_4c3c, // ilp-with
-        0x69c7_0355_2fa8_9fa1, // sat
-        0x1380_dfcf_1988_ca49, // sat-with
-        0xe576_a1fc_a94f_7bcf, // ladder
-        0xa140_bee4_ad1b_8877, // ladder-with
-        0xc978_813b_b69c_fded, // portfolio
-        0x4979_166e_4afe_d551, // portfolio-with
-        0x8900_8b8a_ccdd_70d8, // ladder-demoted-1
-        0xbfb7_f99a_532f_024e, // ladder-demoted-2
-        0xdc9c_42ee_683a_ff6d, // ladder-chaos
-        0x3ee7_1683_fb0a_0394, // portfolio-no-ilp
-        0xb41d_eae4_b83a_70fb, // ladder-verified-opt
+        0x5150_f3ed_2d6a_ace3, // heuristic
+        0x78f6_56f0_c19f_b1c1, // heuristic-with
+        0x9bb9_cd0c_1454_4126, // ilp
+        0x7bd6_d1db_7f0d_d8f2, // ilp-with
+        0xd61f_e340_9e51_083b, // sat
+        0x1788_1b94_3169_acb3, // sat-with
+        0x9e3e_b8cc_2f9c_cc19, // ladder
+        0xcca7_771f_6184_c3bd, // ladder-with
+        0x7473_cacf_ad98_02a3, // portfolio
+        0x4c9c_184f_ebef_880f, // portfolio-with
+        0xfbbc_d04c_0045_0384, // ladder-demoted-1
+        0xd963_84f1_74f5_a80e, // ladder-demoted-2
+        0x5866_8aa9_d1ee_1465, // ladder-chaos
+        0x2d66_d1ba_1c44_a1fe, // portfolio-no-ilp
+        0xccae_451f_618a_8d75, // ladder-verified-opt
     ];
     let actual: Vec<u64> = requests
         .iter()
@@ -168,6 +168,77 @@ fn cache_keys_are_pinned() {
         .map(|((name, _), k)| format!("{name}: {k:#018x}\n"))
         .collect();
     assert_eq!(actual, expected, "cache keys moved:\n{listing}");
+    let distinct: std::collections::HashSet<u64> = actual.iter().copied().collect();
+    assert_eq!(distinct.len(), actual.len(), "pinned requests collided");
+}
+
+/// What the pinned values must never change: which requests share a
+/// key. Each default spelling aliases its explicit default form, and
+/// neither the names in a loop nor an observer changes its identity.
+#[test]
+fn cache_key_equivalence_classes_are_pinned() {
+    let m = Machine::r8000();
+    let lp = saxpy();
+    let key = |lp: &Loop, o: CompileOptions| cache_key_with(lp, &m, &o);
+    let spellings: [(SchedulerChoice, SchedulerChoice); 5] = [
+        (
+            SchedulerChoice::Heuristic,
+            SchedulerChoice::HeuristicWith(HeurOptions::default()),
+        ),
+        (
+            SchedulerChoice::Ilp,
+            SchedulerChoice::IlpWith(MostOptions::default()),
+        ),
+        (
+            SchedulerChoice::Sat,
+            SchedulerChoice::SatWith(SatOptions::default()),
+        ),
+        (
+            SchedulerChoice::Ladder,
+            SchedulerChoice::LadderWith(Box::default()),
+        ),
+        (
+            SchedulerChoice::Portfolio,
+            SchedulerChoice::PortfolioWith(Box::default()),
+        ),
+    ];
+    for (short, explicit) in spellings {
+        assert_eq!(
+            key(&lp, short.clone().into()),
+            key(&lp, explicit.clone().into()),
+            "{short:?} and {explicit:?} must share a key"
+        );
+    }
+    // Every name in the loop renamed: same body, same key.
+    let renamed = Loop::from_raw_parts(
+        "renamed".to_owned(),
+        lp.ops().to_vec(),
+        lp.values()
+            .iter()
+            .enumerate()
+            .map(|(i, v)| swp_ir::ValueInfo {
+                name: format!("v{i}"),
+                ..v.clone()
+            })
+            .collect(),
+        lp.arrays()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| swp_ir::ArrayInfo {
+                name: format!("a{i}"),
+                ..a.clone()
+            })
+            .collect(),
+    )
+    .expect("renaming keeps the loop valid");
+    assert_ne!(renamed, lp);
+    let plain = key(&lp, SchedulerChoice::Ladder.into());
+    assert_eq!(key(&renamed, SchedulerChoice::Ladder.into()), plain);
+    let traced = CompileOptions {
+        telemetry: showdown::Telemetry::with_tracing(),
+        ..SchedulerChoice::Ladder.into()
+    };
+    assert_eq!(key(&lp, traced), plain);
 }
 
 #[test]
