@@ -36,8 +36,8 @@
 //! - `opt` runs every suite loop (plus the Livermore kernels) through the
 //!   translation-validated mid-end pass pipeline and prints op counts,
 //!   RecMII drops, achieved II and ILP pivots with the pipeline off vs on.
-//! - `solver` prints MOST's node/pivot work counters over the Livermore
-//!   kernels.
+//! - `solver` prints MOST's node, pivot, refactorization and bound-flip
+//!   counters and buffer totals over the Livermore kernels.
 //! - `chaos` runs every suite down the degradation ladder under each
 //!   committed fault-injection scenario and prints a containment table.
 //! - `portfolio` races ILP, SAT and the heuristic on every figure suite

@@ -858,6 +858,12 @@ pub struct SolverRow {
     pub nodes: u64,
     /// Simplex pivots across all solves for this kernel.
     pub pivots: u64,
+    /// `B⁻¹` refactorizations across all solves for this kernel.
+    pub refactorizations: u64,
+    /// Dual-repair bound flips across all solves for this kernel.
+    pub bound_flips: u64,
+    /// Total FIFO buffers of the accepted schedule, when minimized.
+    pub buffers: Option<u32>,
 }
 
 /// The `experiments solver` speed table: deterministic solver-work
@@ -879,26 +885,38 @@ impl SolverSpeed {
              (deterministic quick budgets, fallback off — counters reproduce exactly)\n",
         );
         out += &format!(
-            "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10}\n",
-            "k", "name", "ops", "ii", "nodes", "pivots", "piv/node"
+            "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>8}\n",
+            "k", "name", "ops", "ii", "nodes", "pivots", "piv/node", "refacts", "flips", "buffers"
         );
+        let dash = |v: Option<u32>| v.map_or_else(|| "-".to_owned(), |v| v.to_string());
         for r in &self.rows {
-            let ii = r.ii.map_or_else(|| "-".to_owned(), |ii| ii.to_string());
             out += &format!(
-                "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10.2}\n",
+                "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10.2} {:>8} {:>6} {:>8}\n",
                 r.number,
                 r.name,
                 r.ops,
-                ii,
+                dash(r.ii),
                 r.nodes,
                 r.pivots,
-                r.pivots as f64 / r.nodes.max(1) as f64
+                r.pivots as f64 / r.nodes.max(1) as f64,
+                r.refactorizations,
+                r.bound_flips,
+                dash(r.buffers)
             );
         }
         let nodes: u64 = self.rows.iter().map(|r| r.nodes).sum();
         let pivots: u64 = self.rows.iter().map(|r| r.pivots).sum();
+        let refactorizations: u64 = self.rows.iter().map(|r| r.refactorizations).sum();
+        let bound_flips: u64 = self.rows.iter().map(|r| r.bound_flips).sum();
+        let buffers: u64 = self
+            .rows
+            .iter()
+            .filter_map(|r| r.buffers)
+            .map(u64::from)
+            .sum();
         out += &format!(
-            "solved {}/{}; total {nodes} nodes, {pivots} pivots; {:.2} pivots/node\n",
+            "solved {}/{}; total {nodes} nodes, {pivots} pivots; {:.2} pivots/node; \
+             {refactorizations} refactorizations, {bound_flips} bound flips, {buffers} buffers\n",
             self.rows.iter().filter(|r| r.ii.is_some()).count(),
             self.rows.len(),
             pivots as f64 / nodes.max(1) as f64
@@ -909,14 +927,16 @@ impl SolverSpeed {
 
 /// The `experiments solver` table: run MOST (fallback disabled) over the
 /// 24 Livermore kernels under smoke-test-sized deterministic budgets and
-/// record node/pivot work per kernel. The budgets are deliberately
+/// record node, pivot, refactorization and bound-flip work and the
+/// accepted schedule's buffer total per kernel. The budgets are deliberately
 /// tighter than [`Effort::Quick`]'s: a gate must be cheap enough to run
 /// on every CI push, and a solver-efficiency regression shows up at any
 /// budget size.
 ///
-/// Node and pivot totals are read from the [`swp_obs`] counter registry
-/// ([`Counter::IlpNodes`] / [`Counter::IlpPivots`] deltas around each
-/// kernel) rather than from private solver fields, so the gate exercises
+/// The work counters are read from the [`swp_obs`] counter registry
+/// ([`Counter::IlpNodes`], [`Counter::IlpPivots`],
+/// [`Counter::IlpRefactorizations`] and [`Counter::IlpBoundFlips`] deltas
+/// around each kernel) rather than from private solver fields, so the gate exercises
 /// the same telemetry path every other consumer sees. With fallback off,
 /// only `solve_ilp` runs between the snapshots, so the deltas equal the
 /// old per-result stats exactly.
@@ -935,15 +955,18 @@ pub fn solver_speed(machine: &Machine) -> SolverSpeed {
         .into_iter()
         .map(|k| {
             let before = telemetry.counters();
-            let outcome = swp_most::pipeline_most(&k.body, machine, &opts);
+            let outcome = swp_most::pipeline_most(&k.body, machine, &opts).ok();
             let work = telemetry.counters().minus(&before);
             SolverRow {
                 number: k.number,
                 name: k.name,
                 ops: k.body.len(),
-                ii: outcome.ok().map(|r| r.ii()),
+                ii: outcome.as_ref().map(|r| r.ii()),
                 nodes: work.get(Counter::IlpNodes),
                 pivots: work.get(Counter::IlpPivots),
+                refactorizations: work.get(Counter::IlpRefactorizations),
+                bound_flips: work.get(Counter::IlpBoundFlips),
+                buffers: outcome.and_then(|r| r.stats.buffers),
             }
         })
         .collect();
