@@ -37,6 +37,7 @@
 //! ```
 
 mod bb;
+mod kernel;
 mod model;
 mod simplex;
 

@@ -19,7 +19,22 @@
 //! Anti-cycling: both the primal and dual loops watch for stretches of
 //! degenerate pivots and switch to Bland's rule (smallest-index selection)
 //! until progress resumes; a per-solve pivot cap backstops everything.
+//!
+//! Work per pivot. The dual loop prices on demand: it forms `y` and then
+//! the reduced cost of only the columns its ratio test can pick, and
+//! builds that test's pivot row `ρᵀA` from a row-wise (CSR) copy of the
+//! matrix, touching only the rows where `ρ` is nonzero. A full pricing
+//! pass runs only where every reduced cost is read, and not at all while
+//! the `priced` flag says the last one still holds. The dense `m × m`
+//! work goes through the `kernel` module's routines.
+//!
+//! All of that is held to one rule: it performs exactly the floating-point
+//! operations of the plain formulation, in the same order, so every
+//! pivot, node, refactorization, bound flip and solution bit is the same.
+//! `tests/bits.rs` pins that with one digest. A change that moves a pivot
+//! changes the search, not its cost.
 
+use crate::kernel::{combine_rows, row_dots, sub_scaled};
 use crate::model::{ConstraintOp, Model, Sense};
 use std::time::Instant;
 
@@ -170,6 +185,11 @@ pub struct LpEngine {
     col_start: Vec<usize>,
     col_row: Vec<usize>,
     col_val: Vec<f64>,
+    // The same matrix by rows, CSR, columns ascending within each row:
+    // the dual ratio test's pivot row is built from it.
+    row_start: Vec<usize>,
+    row_col: Vec<usize>,
+    row_val: Vec<f64>,
     /// Costs in minimization sense (flipped for maximize models), with a
     /// tiny deterministic anti-degeneracy perturbation folded in; slack
     /// columns carry pure perturbation. Pricing only — reported
@@ -195,6 +215,11 @@ pub struct LpEngine {
     x: Vec<f64>,
     updates: u32,
     fresh: bool,
+    /// `y` and every `dj` are exact for the current basis and `B⁻¹`.
+    /// Cleared by every pivot, refactorization and basis reset; a bound
+    /// flip keeps it, since reduced costs do not depend on which bound a
+    /// nonbasic variable rests at.
+    priced: bool,
     /// Objective cutoff (internal minimization sense); see [`Self::set_cutoff`].
     cutoff: Option<f64>,
     // ---- work counters (lifetime of the engine, read by B&B telemetry) ----
@@ -203,10 +228,15 @@ pub struct LpEngine {
     // ---- scratch ----
     alpha: Vec<f64>,
     rho: Vec<f64>,
-    prow: Vec<f64>,
+    /// `ρ · A_j` for every structural column `j`: the dual pivot row.
+    pivot_row: Vec<f64>,
     y: Vec<f64>,
     dj: Vec<f64>,
     work: Vec<f64>,
+    /// `c_B`, the costs of the basic variables in basis order.
+    cost_b: Vec<f64>,
+    /// `B⁻¹ w` in basis order, before it is scattered into `x`.
+    x_b: Vec<f64>,
     fmat: Vec<f64>,
     /// Test hook: keep Dantzig pricing even through degenerate stalls, to
     /// demonstrate that classic cycling examples really cycle without the
@@ -275,6 +305,26 @@ impl LpEngine {
                 cursor[j] += 1;
             }
         }
+        // CSR by a column-order sweep of the CSC arrays, so every row's
+        // entries come out sorted by column.
+        let mut row_start = vec![0usize; m + 1];
+        for &i in &col_row {
+            row_start[i + 1] += 1;
+        }
+        for i in 0..m {
+            row_start[i + 1] += row_start[i];
+        }
+        let mut row_col = vec![0usize; nnz];
+        let mut row_val = vec![0.0f64; nnz];
+        let mut cursor = row_start.clone();
+        for j in 0..n {
+            for idx in col_start[j]..col_start[j + 1] {
+                let i = col_row[idx];
+                row_col[cursor[i]] = j;
+                row_val[cursor[i]] = col_val[idx];
+                cursor[i] += 1;
+            }
+        }
         let rhs: Vec<f64> = kept.iter().map(|c| c.rhs).collect();
         let mut slack_lo = vec![0.0f64; m];
         let mut slack_hi = vec![0.0f64; m];
@@ -329,6 +379,9 @@ impl LpEngine {
             col_start,
             col_row,
             col_val,
+            row_start,
+            row_col,
+            row_val,
             cost,
             objective,
             rhs,
@@ -345,15 +398,18 @@ impl LpEngine {
             x: vec![0.0; total],
             updates: 0,
             fresh: true,
+            priced: false,
             cutoff: None,
             refactorizations: 0,
             bound_flips: 0,
             alpha: vec![0.0; m],
             rho: vec![0.0; m],
-            prow: vec![0.0; m],
+            pivot_row: vec![0.0; n],
             y: vec![0.0; m],
             dj: vec![0.0; total],
             work: vec![0.0; m],
+            cost_b: vec![0.0; m],
+            x_b: vec![0.0; m],
             fmat: vec![0.0; m * m],
             #[cfg(test)]
             disable_anti_cycling: false,
@@ -458,7 +514,7 @@ impl LpEngine {
     /// Drive the current basis to a primal- and dual-feasible point.
     fn optimize(&mut self, budget: &mut Budget) -> End {
         for _round in 0..6 {
-            self.price(false);
+            self.price();
             let (pf, df) = (self.primal_feasible(), self.dual_feasible());
             let end = match (pf, df) {
                 (true, true) => return End::Done,
@@ -494,32 +550,37 @@ impl LpEngine {
     }
 
     /// Reduced costs for every column: `dj = c − yᵀA`, `y = c_B ᵀB⁻¹`.
-    fn price(&mut self, zero_costs: bool) {
-        let m = self.m;
-        self.y.iter_mut().for_each(|v| *v = 0.0);
-        if zero_costs {
-            self.dj.iter_mut().for_each(|v| *v = 0.0);
+    /// A no-op while `priced` says they are already exact.
+    fn price(&mut self) {
+        if self.priced {
             return;
         }
-        for i in 0..m {
-            let b = self.basis[i];
-            let cb = self.cost[b];
-            if cb != 0.0 {
-                let row = &self.binv[i * m..(i + 1) * m];
-                for (yk, r) in self.y.iter_mut().zip(row) {
-                    *yk += cb * r;
-                }
-            }
+        self.compute_y();
+        for j in 0..self.n + self.m {
+            self.dj[j] = self.reduced_cost(j);
         }
-        for j in 0..self.n {
+        self.priced = true;
+    }
+
+    /// The simplex multipliers `y = c_B ᵀB⁻¹`, alone.
+    fn compute_y(&mut self) {
+        for (c, &b) in self.cost_b.iter_mut().zip(&self.basis) {
+            *c = self.cost[b];
+        }
+        combine_rows(&mut self.y, &self.binv, &self.cost_b);
+    }
+
+    /// `dj = c_j − yᵀA_j` from the current `y`, in [`Self::price`]'s
+    /// order, so an on-demand value has the bits of a full pass.
+    fn reduced_cost(&self, j: usize) -> f64 {
+        if j < self.n {
             let mut d = self.cost[j];
             for idx in self.col_start[j]..self.col_start[j + 1] {
                 d -= self.y[self.col_row[idx]] * self.col_val[idx];
             }
-            self.dj[j] = d;
-        }
-        for i in 0..m {
-            self.dj[self.n + i] = self.cost[self.n + i] - self.y[i];
+            d
+        } else {
+            self.cost[j] - self.y[j - self.n]
         }
     }
 
@@ -619,7 +680,6 @@ impl LpEngine {
             self.per_solve_cap()
         };
         for _iter in 0..cap {
-            self.price(zero_costs);
             // Objective cutoff: at a dual-feasible basis the (perturbed)
             // objective is a lower bound on this node's optimum, so once
             // it clears the incumbent by a margin that swallows the
@@ -664,6 +724,7 @@ impl LpEngine {
             let leave = self.basis[row];
             let below = self.x[leave] < self.lo[leave];
             self.rho.copy_from_slice(&self.binv[row * m..(row + 1) * m]);
+            self.compute_pivot_row();
             // Entering column: dual ratio test over sign-eligible
             // nonbasics. Near-ties (ubiquitous when whole cost blocks are
             // zero) are broken by the largest pivot magnitude — taking the
@@ -671,25 +732,44 @@ impl LpEngine {
             // from an index-order crawl into a handful of real steps. The
             // Bland fallback reverts to smallest-index ties so the
             // anti-cycling guarantee is preserved.
+            // Price on demand: `y` is formed at the first eligible column
+            // (a full price that still holds for this basis leaves it
+            // exact already), and each eligible column's `dj` is computed
+            // from it in `price`'s order.
+            let mut need_y = !zero_costs && !self.priced;
             let mut enter = usize::MAX;
             let mut best_ratio = f64::INFINITY;
             let mut best_piv = 0.0f64;
             for j in 0..n + m {
-                if self.stat[j] == VStat::Basic || self.hi[j] - self.lo[j] <= EPS {
-                    continue;
-                }
-                let a = self.row_coeff(j);
-                let eligible = if below {
-                    (self.stat[j] == VStat::Lower && a < -EPS)
-                        || (self.stat[j] == VStat::Upper && a > EPS)
+                let a = if j < n {
+                    self.pivot_row[j]
                 } else {
-                    (self.stat[j] == VStat::Lower && a > EPS)
-                        || (self.stat[j] == VStat::Upper && a < -EPS)
+                    self.rho[j - n]
                 };
-                if !eligible {
+                if a.abs() <= EPS {
+                    continue; // the common case: ρᵀA is sparse
+                }
+                let eligible = match self.stat[j] {
+                    VStat::Basic => false,
+                    VStat::Lower if below => a < -EPS,
+                    VStat::Lower => a > EPS,
+                    VStat::Upper if below => a > EPS,
+                    VStat::Upper => a < -EPS,
+                };
+                if !eligible || self.hi[j] - self.lo[j] <= EPS {
                     continue;
                 }
-                let ratio = (self.dj[j] / a).abs();
+                if need_y {
+                    self.compute_y();
+                    need_y = false;
+                }
+                // Zero-cost phase 1 has every reduced cost at zero.
+                let dj = if zero_costs {
+                    0.0
+                } else {
+                    self.reduced_cost(j)
+                };
+                let ratio = (dj / a).abs();
                 let tol = 1e-9 * (1.0 + best_ratio.min(1e30));
                 let better = if enter == usize::MAX || ratio < best_ratio - tol {
                     true
@@ -767,7 +847,7 @@ impl LpEngine {
         let mut bland = false;
         let mut stall: u32 = 0;
         for _iter in 0..self.per_solve_cap() {
-            self.price(false);
+            self.price();
             let mut enter = usize::MAX;
             let mut best = DUAL_EPS;
             for j in 0..n + m {
@@ -896,30 +976,36 @@ impl LpEngine {
         End::Limit
     }
 
-    /// `ρ · A_j` where `ρ` is the current pivot row of `B⁻¹`.
-    fn row_coeff(&self, j: usize) -> f64 {
-        if j < self.n {
-            let mut s = 0.0;
-            for idx in self.col_start[j]..self.col_start[j + 1] {
-                s += self.rho[self.col_row[idx]] * self.col_val[idx];
+    /// `ρ · A_j` for every structural `j` into `self.pivot_row`, by
+    /// scattering only the rows with `ρ_i ≠ 0`, in ascending row order.
+    /// Each entry sums its products in the order of a dot product down
+    /// column `j`; the skipped terms are `±0.0`, which cannot change a
+    /// sum that starts at `+0.0`, so the bits are those of that dot
+    /// product.
+    fn compute_pivot_row(&mut self) {
+        self.pivot_row.fill(0.0);
+        for i in 0..self.m {
+            let r = self.rho[i];
+            if r != 0.0 {
+                for idx in self.row_start[i]..self.row_start[i + 1] {
+                    self.pivot_row[self.row_col[idx]] += r * self.row_val[idx];
+                }
             }
-            s
-        } else {
-            self.rho[j - self.n]
         }
     }
 
     /// `α = B⁻¹ A_j` into `self.alpha`.
     fn compute_alpha(&mut self, j: usize) {
         let m = self.m;
-        self.alpha.iter_mut().for_each(|v| *v = 0.0);
         if j < self.n {
-            for idx in self.col_start[j]..self.col_start[j + 1] {
-                let r = self.col_row[idx];
-                let a = self.col_val[idx];
-                for i in 0..m {
-                    self.alpha[i] += self.binv[i * m + r] * a;
+            let col = self.col_start[j]..self.col_start[j + 1];
+            for i in 0..m {
+                let row = &self.binv[i * m..(i + 1) * m];
+                let mut s = 0.0;
+                for idx in col.clone() {
+                    s += row[self.col_row[idx]] * self.col_val[idx];
                 }
+                self.alpha[i] = s;
             }
         } else {
             let r = j - self.n;
@@ -933,22 +1019,18 @@ impl LpEngine {
     /// at `row`; refactorizes periodically to cap drift.
     fn update_binv(&mut self, row: usize) {
         let m = self.m;
+        self.priced = false;
         let inv = 1.0 / self.alpha[row];
         for k in 0..m {
             self.binv[row * m + k] *= inv;
         }
-        self.prow
-            .copy_from_slice(&self.binv[row * m..(row + 1) * m]);
         for i in 0..m {
             if i == row {
                 continue;
             }
             let f = self.alpha[i];
             if f.abs() > 1e-13 {
-                let r = &mut self.binv[i * m..(i + 1) * m];
-                for (c, p) in r.iter_mut().zip(&self.prow) {
-                    *c -= f * p;
-                }
+                sub_row(&mut self.binv, m, i, row, 0, f);
             }
         }
         self.updates += 1;
@@ -962,6 +1044,7 @@ impl LpEngine {
     /// cold but always-valid restart.
     fn refactor(&mut self) {
         self.refactorizations += 1;
+        self.priced = false;
         let m = self.m;
         self.fmat.iter_mut().for_each(|v| *v = 0.0);
         for (i, &b) in self.basis.iter().enumerate() {
@@ -992,15 +1075,22 @@ impl LpEngine {
                 singular = true;
                 break;
             }
+            // Columns `< k` of `fmat` are never read again, and column `k`
+            // not after its pivot and multipliers are read: the swap skips
+            // the former, the scaling and the elimination both.
             if p != k {
-                for c in 0..m {
+                for c in k..m {
                     self.fmat.swap(p * m + c, k * m + c);
+                }
+                for c in 0..m {
                     self.binv.swap(p * m + c, k * m + c);
                 }
             }
             let inv = 1.0 / self.fmat[k * m + k];
-            for c in 0..m {
+            for c in k + 1..m {
                 self.fmat[k * m + c] *= inv;
+            }
+            for c in 0..m {
                 self.binv[k * m + c] *= inv;
             }
             for r in 0..m {
@@ -1009,10 +1099,8 @@ impl LpEngine {
                 }
                 let f = self.fmat[r * m + k];
                 if f != 0.0 {
-                    for c in 0..m {
-                        self.fmat[r * m + c] -= f * self.fmat[k * m + c];
-                        self.binv[r * m + c] -= f * self.binv[k * m + c];
-                    }
+                    sub_row(&mut self.fmat, m, r, k, k + 1, f);
+                    sub_row(&mut self.binv, m, r, k, 0, f);
                 }
             }
         }
@@ -1026,6 +1114,7 @@ impl LpEngine {
 
     fn reset_basis(&mut self) {
         let (n, m) = (self.n, self.m);
+        self.priced = false;
         for j in 0..n + m {
             if self.stat[j] == VStat::Basic {
                 self.stat[j] = VStat::Lower;
@@ -1091,10 +1180,9 @@ impl LpEngine {
                 self.work[i] -= self.x[sj];
             }
         }
-        for i in 0..m {
-            let row = &self.binv[i * m..(i + 1) * m];
-            let s: f64 = row.iter().zip(&self.work).map(|(a, b)| a * b).sum();
-            self.x[self.basis[i]] = s;
+        row_dots(&mut self.x_b, &self.binv, &self.work);
+        for (&b, &v) in self.basis.iter().zip(&self.x_b) {
+            self.x[b] = v;
         }
     }
 
@@ -1106,6 +1194,19 @@ impl LpEngine {
         let objective = self.objective.iter().map(|&(j, c)| c * values[j]).sum();
         LpSolution { objective, values }
     }
+}
+
+/// `mat[r][from..] -= f · mat[k][from..]` for distinct rows `r` and `k` of
+/// a row-major matrix `m` wide.
+fn sub_row(mat: &mut [f64], m: usize, r: usize, k: usize, from: usize, f: f64) {
+    let (dst, src) = if r < k {
+        let (head, tail) = mat.split_at_mut(k * m);
+        (&mut head[r * m + from..(r + 1) * m], &tail[from..m])
+    } else {
+        let (head, tail) = mat.split_at_mut(r * m);
+        (&mut tail[from..m], &head[k * m + from..(k + 1) * m])
+    };
+    sub_scaled(dst, src, f);
 }
 
 /// Solve the LP relaxation of `model` (integrality ignored, model bounds
