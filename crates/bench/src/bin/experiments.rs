@@ -681,16 +681,21 @@ fn main() {
                 p.batches, p.p50_us, p.p99_us
             );
         }
+        let restart = &sat.restart_stats;
         eprintln!(
-            "cold server: {} admitted, {} demoted, {} persisted; restart server: {} disk hits / \
-             {} admitted ({:.0}% disk hit rate), {} recompiles",
+            "cold server: {} admitted, {} demoted, {} persisted; restart server: {} store \
+             answers ({} file reads, {} from memory) / {} admitted ({:.0}% store hit rate), {} \
+             recompiles of (loop, level) pairs the cold server never compiled: [{}]",
             sat.cold_stats.admitted,
             sat.cold_stats.demoted,
             sat.cold_stats.store.persisted,
-            sat.restart_stats.store.hits,
-            sat.restart_stats.admitted,
+            restart.store.hits,
+            restart.store.reads,
+            restart.store.memory_hits(),
+            restart.admitted,
             100.0 * sat.restart_hit_rate(),
-            sat.restart_stats.cache.misses
+            restart.cache.misses,
+            sat.restart_compiled.join(", ")
         );
         if sat.errors > 0 {
             violations.push(format!(

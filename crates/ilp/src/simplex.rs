@@ -16,9 +16,12 @@
 //! caller's bounds on every solve. The modulo-scheduling models' stage
 //! bounds all take this form, which keeps `m` small.
 //!
-//! Anti-cycling: both the primal and dual loops watch for stretches of
-//! degenerate pivots and switch to Bland's rule (smallest-index selection)
-//! until progress resumes; a per-solve pivot cap backstops everything.
+//! Anti-cycling: the primal loop watches for stretches of degenerate
+//! pivots and switches to Bland's rule (smallest-index selection) until
+//! progress resumes. The dual loop has none: a watch like the primal's
+//! could never fire there, since every dual pivot moves its leaving
+//! variable by more than `FEAS_EPS`. Dual cycling is stopped only by the
+//! per-solve pivot cap, which backstops both loops.
 //!
 //! Work per pivot. The dual loop prices on demand: it forms `y` and then
 //! the reduced cost of only the columns its ratio test can pick, and
@@ -667,11 +670,9 @@ impl LpEngine {
     /// feasible for `c = 0`, so only the sign-eligibility rules apply).
     fn dual_simplex(&mut self, budget: &mut Budget, zero_costs: bool) -> End {
         let (n, m) = (self.n, self.m);
-        let mut bland = false;
-        let mut stall: u32 = 0;
         // Phase 1 earns only a short leash: it runs when a node's basis
-        // was too damaged to repair, and on adversarial nodes its Bland
-        // tail can wander for tens of thousands of pivots — enough to
+        // was too damaged to repair, and on adversarial nodes it can
+        // wander for tens of thousands of pivots — enough to
         // drain the whole tree's budget proving one subtree infeasible.
         // Hitting the cap abandons just that subtree (`End::Limit`).
         let cap = if zero_costs {
@@ -696,8 +697,7 @@ impl LpEngine {
                     }
                 }
             }
-            // Leaving row: worst bound violation (Bland: smallest basic
-            // variable index among the violated).
+            // Leaving row: worst bound violation.
             let mut row = usize::MAX;
             let mut worst = FEAS_EPS;
             for i in 0..m {
@@ -709,11 +709,7 @@ impl LpEngine {
                 } else {
                     continue;
                 };
-                if bland {
-                    if row == usize::MAX || b < self.basis[row] {
-                        row = i;
-                    }
-                } else if v > worst {
+                if v > worst {
                     worst = v;
                     row = i;
                 }
@@ -729,9 +725,7 @@ impl LpEngine {
             // nonbasics. Near-ties (ubiquitous when whole cost blocks are
             // zero) are broken by the largest pivot magnitude — taking the
             // steepest column instead of the lowest index turns phase 1
-            // from an index-order crawl into a handful of real steps. The
-            // Bland fallback reverts to smallest-index ties so the
-            // anti-cycling guarantee is preserved.
+            // from an index-order crawl into a handful of real steps.
             // Price on demand: `y` is formed at the first eligible column
             // (a full price that still holds for this basis leaves it
             // exact already), and each eligible column's `dj` is computed
@@ -771,13 +765,9 @@ impl LpEngine {
                 };
                 let ratio = (dj / a).abs();
                 let tol = 1e-9 * (1.0 + best_ratio.min(1e30));
-                let better = if enter == usize::MAX || ratio < best_ratio - tol {
-                    true
-                } else if bland {
-                    false // smallest index among ties already held
-                } else {
-                    ratio <= best_ratio + tol && a.abs() > best_piv
-                };
+                let better = enter == usize::MAX
+                    || ratio < best_ratio - tol
+                    || (ratio <= best_ratio + tol && a.abs() > best_piv);
                 if better {
                     best_ratio = best_ratio.min(ratio);
                     best_piv = a.abs();
@@ -820,19 +810,6 @@ impl LpEngine {
             self.stat[leave] = if below { VStat::Lower } else { VStat::Upper };
             self.basis[row] = enter;
             self.update_binv(row);
-            // A stall is a *degenerate* pivot: the leaving variable was
-            // already at its target bound, so the basis changed but no
-            // primal value moved. (Not `ratio * delta`: phase 1 has every
-            // ratio at zero by construction, and treating its perfectly
-            // productive pivots as stalls would trap it in Bland mode.)
-            if delta.abs() <= 1e-9 {
-                stall += 1;
-            } else {
-                stall = 0;
-            }
-            if stall > STALL_LIMIT && !self.anti_cycling_off() {
-                bland = true;
-            }
             if !budget.step(self.pivot_work()) {
                 return End::Limit;
             }

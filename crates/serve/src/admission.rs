@@ -8,6 +8,13 @@
 //! is schedule quality — the service-boundary extension of the ladder's
 //! totality guarantee.
 //!
+//! Only compiles pay. [`Admission::admit`] takes the in-flight slot and
+//! decides the demotion level from load and the client's balance, but
+//! deducts nothing; the server calls [`Permit::charge`] only once it knows
+//! the request must compile. A request the memory cache or the store can
+//! answer costs no tokens, so a client that repeats cached loops never
+//! drains its bucket and is never demoted for it.
+//!
 //! Everything here is deliberately free of wall-clock state. The token
 //! bucket refills per *completed request*, not per second, so the same
 //! request sequence against the same server produces the same demotion
@@ -84,10 +91,12 @@ impl Admission {
         }
     }
 
-    /// Admit one compile for `client`, blocking while the hard in-flight
+    /// Admit one request for `client`, blocking while the hard in-flight
     /// cap is reached. Returns a permit whose [`Permit::demotion`] is the
-    /// ladder level the request must be compiled at; dropping the permit
-    /// releases the in-flight slot and refunds the client's bucket.
+    /// ladder level the request must be compiled at, should it compile.
+    /// No tokens are deducted here: [`Permit::charge`] does that. Dropping
+    /// the permit releases the in-flight slot and refunds the client's
+    /// bucket.
     pub fn admit(&self, client: &str) -> Permit<'_> {
         let mut state = self.state.lock().expect("admission lock");
         while state.inflight >= self.opts.max_inflight {
@@ -102,24 +111,18 @@ impl Admission {
         } else {
             0
         };
-        let balance = state
+        let balance = *state
             .buckets
             .entry(client.to_owned())
             .or_insert(self.opts.bucket_capacity);
-        let budget_level = if *balance >= self.opts.full_cost {
+        let budget_level = if balance >= self.opts.full_cost {
             0
-        } else if *balance >= self.opts.demoted_cost {
+        } else if balance >= self.opts.demoted_cost {
             1
         } else {
             2
         };
         let demotion: u32 = load_level.max(budget_level);
-        let cost = if demotion == 0 {
-            self.opts.full_cost
-        } else {
-            self.opts.demoted_cost
-        };
-        *balance = balance.saturating_sub(cost);
         state.inflight += 1;
         drop(state);
         self.admitted.fetch_add(1, Ordering::Relaxed);
@@ -156,13 +159,31 @@ impl Admission {
     }
 }
 
-/// An admitted compile. Holds the in-flight slot until dropped.
+/// An admitted request. Holds the in-flight slot until dropped.
 pub struct Permit<'a> {
     gate: &'a Admission,
     client: String,
     /// Ladder demotion level this request was admitted at (0 = full
     /// effort).
     pub demotion: u32,
+}
+
+impl Permit<'_> {
+    /// Deduct the cost of compiling at [`Self::demotion`] from the
+    /// client's bucket. Call it once, right before the compile; a request
+    /// answered without compiling is never charged.
+    pub fn charge(&self) {
+        let opts = &self.gate.opts;
+        let cost = if self.demotion == 0 {
+            opts.full_cost
+        } else {
+            opts.demoted_cost
+        };
+        let mut state = self.gate.state.lock().expect("admission lock");
+        if let Some(balance) = state.buckets.get_mut(&self.client) {
+            *balance = balance.saturating_sub(cost);
+        }
+    }
 }
 
 impl Drop for Permit<'_> {
@@ -193,9 +214,11 @@ mod tests {
             ..AdmissionOptions::default()
         };
         let gate = Admission::new(opts);
-        // 8 tokens / 4 per full compile = two full-effort admissions.
+        // 8 tokens / 4 per full compile = two full-effort compiles.
         for _ in 0..2 {
-            assert_eq!(gate.admit("c").demotion, 0);
+            let permit = gate.admit("c");
+            assert_eq!(permit.demotion, 0);
+            permit.charge();
         }
         // Balance 0: straight to level 2.
         assert_eq!(gate.admit("c").demotion, 2);
@@ -214,11 +237,33 @@ mod tests {
         };
         let gate = Admission::new(opts);
         for _ in 0..5 {
-            // Each permit drains the bucket and its completion refills
+            // Each compile drains the bucket and its completion refills
             // it, so every request runs at full effort.
+            let permit = gate.admit("c");
+            assert_eq!(permit.demotion, 0);
+            permit.charge();
+        }
+        assert_eq!(gate.demoted(), 0);
+    }
+
+    #[test]
+    fn requests_that_never_charge_never_drain_the_bucket() {
+        let opts = AdmissionOptions {
+            bucket_capacity: 4,
+            full_cost: 4,
+            demoted_cost: 1,
+            refill_per_completion: 0,
+            ..AdmissionOptions::default()
+        };
+        let gate = Admission::new(opts);
+        // Answers from the cache or the store are admitted and dropped
+        // without a charge: however many there are, the bucket stays full.
+        for _ in 0..100 {
             assert_eq!(gate.admit("c").demotion, 0);
         }
         assert_eq!(gate.demoted(), 0);
+        gate.admit("c").charge();
+        assert_eq!(gate.admit("c").demotion, 2);
     }
 
     #[test]

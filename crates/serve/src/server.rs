@@ -1,14 +1,21 @@
 //! The compile server: a thread-per-connection Unix-socket daemon
 //! layered over the schedule cache and the disk store.
 //!
-//! Per-loop flow: admit (possibly demoting) → memory cache peek → disk
-//! store lookup → compile through [`showdown::ScheduleCache`] (which
-//! dedups concurrent identical requests) → persist the reply if it is
-//! deterministic. The compile key [`showdown::cache_key_with`] covers
-//! the loop, the machine, and *every* option that can change the result
-//! — including the demotion level via `start_rung` and any deadline —
-//! so a demoted or deadline-truncated compile can never alias a
-//! full-effort record on disk or in memory.
+//! Per-loop flow: admit (the in-flight slot and a demotion level, no
+//! tokens yet) → look up the full-effort key: memory cache peek, then the
+//! disk store → if the request was demoted and that missed, look up the
+//! demoted key the same way → charge admission and compile through
+//! [`showdown::ScheduleCache`] (which dedups concurrent identical
+//! requests) → persist the reply if it is deterministic. Only a compile
+//! costs tokens, and a loop already scheduled at full effort is served
+//! at full effort (`demotion: 0`) whatever the admission level.
+//!
+//! The compile key [`showdown::cache_key_with`] covers the loop, the
+//! machine, and *every* option that can change the result — including
+//! the demotion level via `start_rung` and any deadline. Aliasing runs
+//! one way only: a full-effort record may answer a demoted request, but
+//! a demoted or deadline-truncated compile is never looked up by a
+//! full-effort request, on disk or in memory.
 //!
 //! Fault posture: a client that sends garbage gets a structured error
 //! frame and its connection closed; a client that vanishes mid-frame
@@ -36,7 +43,7 @@ use showdown::{
 use swp_ir::Loop;
 use swp_machine::{Machine, RegClass};
 
-use crate::admission::{Admission, AdmissionOptions};
+use crate::admission::{Admission, AdmissionOptions, Permit};
 use crate::proto::{
     self, LoopOk, LoopReply, Message, ProtoError, RequestBatch, ResponseBatch, WireChoice,
 };
@@ -130,7 +137,8 @@ impl ServerOptions {
 pub struct ServeStats {
     /// Loops admitted.
     pub admitted: u64,
-    /// Admissions demoted by load or budget.
+    /// Admissions demoted by load or budget, whether or not the request
+    /// then compiled.
     pub demoted: u64,
     /// Arrivals that blocked on the hard in-flight cap.
     pub inflight_waits: u64,
@@ -316,8 +324,7 @@ fn process_batch(shared: &Shared, req: &RequestBatch) -> ResponseBatch {
     let mut results = Vec::with_capacity(req.loops.len());
     for lp in &req.loops {
         let permit = shared.admission.admit(&req.client);
-        let demotion = permit.demotion;
-        let outcome = compile_one(shared, lp, req, demotion);
+        let outcome = compile_one(shared, lp, req, &permit);
         drop(permit);
         results.push(LoopReply {
             name: lp.name().to_owned(),
@@ -389,34 +396,61 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
     }
 }
 
-fn compile_one(
-    shared: &Shared,
-    lp: &Loop,
-    req: &RequestBatch,
-    demotion: u32,
-) -> Result<LoopOk, String> {
-    let options = CompileOptions {
+fn compile_options(shared: &Shared, req: &RequestBatch, demotion: u32) -> CompileOptions {
+    CompileOptions {
         choice: scheduler_for(req, demotion),
         verify: req.verify,
         opt: req.opt,
         telemetry: shared.telemetry.clone(),
-    };
-    let key = cache_key_with(lp, &shared.machine, &options);
-    // Memory first: a ready entry needs no disk touch.
+    }
+}
+
+/// Answer `key` without compiling: memory first (a ready entry needs no
+/// disk touch), then the persistent layer, which is what survives
+/// restarts. A hit replies at `demotion`, the level the key was compiled
+/// at.
+fn lookup(shared: &Shared, key: u64, demotion: u32) -> Option<Result<LoopOk, String>> {
     if let Some(hit) = shared.cache.peek(key) {
-        return hit
-            .map(|c| loop_ok(&c, demotion))
-            .map_err(|e| e.to_string());
+        return Some(
+            hit.map(|c| loop_ok(&c, demotion))
+                .map_err(|e| e.to_string()),
+        );
     }
-    // Then the persistent layer — this is what survives restarts.
-    if let Some(store) = &shared.store {
-        if let Lookup::Hit(mut ok) = store.load(key) {
-            // The demotion level is keyed, so a stored record always
-            // matches the level it was compiled at; echo the live one.
-            ok.demotion = demotion as u8;
-            return Ok(ok);
+    if let Some(Lookup::Hit(mut ok)) = shared.store.as_ref().map(|s| s.load(key)) {
+        // The demotion level is keyed, so a stored record always
+        // matches the level it was compiled at; echo that level.
+        ok.demotion = demotion as u8;
+        return Some(Ok(ok));
+    }
+    None
+}
+
+fn compile_one(
+    shared: &Shared,
+    lp: &Loop,
+    req: &RequestBatch,
+    permit: &Permit<'_>,
+) -> Result<LoopOk, String> {
+    let full = compile_options(shared, req, 0);
+    let full_key = cache_key_with(lp, &shared.machine, &full);
+    if let Some(answer) = lookup(shared, full_key, 0) {
+        return answer;
+    }
+    let demotion = permit.demotion;
+    let (options, key) = if demotion == 0 {
+        (full, full_key)
+    } else {
+        let options = compile_options(shared, req, demotion);
+        let key = cache_key_with(lp, &shared.machine, &options);
+        // Choices that ignore the level (the heuristic) share one key.
+        if key != full_key {
+            if let Some(answer) = lookup(shared, key, demotion) {
+                return answer;
+            }
         }
-    }
+        (options, key)
+    };
+    permit.charge();
     let result = shared
         .cache
         .get_or_compile_with(lp, &shared.machine, &options);

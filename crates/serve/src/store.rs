@@ -16,11 +16,23 @@
 //! [`DiskStore::load`], reported as [`Lookup::Corrupt`], deleted, and
 //! silently recompiled; a corrupt store entry costs one compile, never
 //! an incident.
+//!
+//! The store reads through a memory map: a record that passed the
+//! gauntlet is kept, so each record file is read and checked at most
+//! once per process and every later lookup of its key is a map probe.
+//! Records are immutable under their key (results are deterministic), so
+//! the copy can never go stale; a file deleted or damaged after its read
+//! goes on being answered from memory, exactly as the bytes were when
+//! they were checked. A record this instance persists is not added: the
+//! server persists only what it just compiled, and that result already
+//! sits in its memory cache.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::proto::{decode_result, encode_result, LoopOk};
 use showdown::codec::{fnv1a, Dec, Sink};
@@ -81,8 +93,12 @@ pub enum Lookup {
 /// Counters a store accumulates over its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
-    /// Lookups answered by a valid record.
+    /// Lookups answered by a valid record, from its file or from memory.
     pub hits: u64,
+    /// Record files read from disk (an unreadable one counts too). Each
+    /// read ends as a hit or a corrupt recovery; the other hits came
+    /// from memory ([`Self::memory_hits`]).
+    pub reads: u64,
     /// Lookups that found nothing.
     pub misses: u64,
     /// Lookups that found garbage and recovered by deletion.
@@ -91,13 +107,25 @@ pub struct StoreStats {
     pub persisted: u64,
 }
 
+impl StoreStats {
+    /// Hits answered from the read-through memory map, without a file
+    /// read.
+    pub fn memory_hits(&self) -> u64 {
+        self.hits
+            .saturating_sub(self.reads.saturating_sub(self.corrupt_recovered))
+    }
+}
+
 /// A content-addressed on-disk result store keyed by the schedule
 /// cache's compile key. All methods take `&self`; concurrent use from
 /// many handler threads is safe because every write is atomic and every
 /// read validates.
 pub struct DiskStore {
     dir: PathBuf,
+    /// Records already read and validated, by key.
+    read: Mutex<HashMap<u64, LoopOk>>,
     hits: AtomicU64,
+    reads: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
     persisted: AtomicU64,
@@ -124,7 +152,9 @@ impl DiskStore {
         }
         Ok(DiskStore {
             dir: dir.to_owned(),
+            read: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             persisted: AtomicU64::new(0),
@@ -142,29 +172,35 @@ impl DiskStore {
         self.dir.join(format!("{key:016x}.rec"))
     }
 
-    /// Look up `key`. Corrupt records are deleted on the spot (so the
-    /// next lookup is a plain miss) and counted both locally and on the
-    /// ambient telemetry collector.
+    /// Look up `key`: from memory if its record was read before, else
+    /// from its file, which is then kept in memory if valid. Corrupt
+    /// records are deleted on the spot (so the next lookup is a plain
+    /// miss) and counted both locally and on the ambient telemetry
+    /// collector.
     pub fn load(&self, key: u64) -> Lookup {
-        let path = self.record_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Miss;
+        let kept = self.read.lock().expect("store map").get(&key).cloned();
+        let ok = match kept {
+            Some(ok) => ok,
+            None => {
+                let path = self.record_path(key);
+                let read = fs::read(&path);
+                if matches!(&read, Err(e) if e.kind() == io::ErrorKind::NotFound) {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    return Lookup::Miss;
+                }
+                self.reads.fetch_add(1, Ordering::Relaxed);
+                // Unreadable is indistinguishable from corrupt for our
+                // purposes: recompile.
+                let Some(ok) = read.ok().and_then(|b| parse_record(&b, key)) else {
+                    return self.corrupt(&path);
+                };
+                self.read.lock().expect("store map").insert(key, ok.clone());
+                ok
             }
-            // Unreadable is indistinguishable from corrupt for our
-            // purposes: recompile.
-            Err(_) => return self.corrupt(&path),
         };
-        match parse_record(&bytes, key) {
-            Some(ok) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                swp_obs::count(swp_obs::Counter::ServeStoreHits, 1);
-                Lookup::Hit(ok)
-            }
-            None => self.corrupt(&path),
-        }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        swp_obs::count(swp_obs::Counter::ServeStoreHits, 1);
+        Lookup::Hit(ok)
     }
 
     fn corrupt(&self, path: &Path) -> Lookup {
@@ -226,6 +262,7 @@ impl DiskStore {
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             hits: self.hits.load(Ordering::Relaxed),
+            reads: self.reads.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             corrupt_recovered: self.corrupt.load(Ordering::Relaxed),
             persisted: self.persisted.load(Ordering::Relaxed),

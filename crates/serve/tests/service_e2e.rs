@@ -1,6 +1,8 @@
 //! End-to-end service tests over a real Unix socket: basic batch
-//! compilation, the kill-and-restart warm-hit guarantee, and overload
-//! behavior (degrade, never reject). Scheduler choice is mostly the
+//! compilation, the kill-and-restart warm-hit guarantee, overload
+//! behavior (degrade, never reject), and the admission rules (only
+//! compiles pay; a full-effort record answers a demoted request, never
+//! the reverse). Scheduler choice is mostly the
 //! heuristic so the suite stays fast in debug builds; the chaos sweep
 //! (`experiments serve-chaos`) exercises the full ladder in release.
 
@@ -253,50 +255,143 @@ fn ladder_replies_carry_rung_and_diagnostics() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-#[test]
-fn demoted_requests_never_alias_full_effort_store_entries() {
-    // Compile the same loop once demoted (tiny budget client) and once
-    // at full effort: the disk store must hold two distinct records.
-    let root = fresh_root("alias");
-    let server = start_server(
-        "alias",
-        &root,
-        AdmissionOptions {
-            // Exactly one full-effort compile's worth of tokens, never
-            // refilled: request 1 runs at full effort, request 2 demotes.
-            bucket_capacity: 4,
-            full_cost: 4,
-            demoted_cost: 1,
-            refill_per_completion: 0,
-            ..AdmissionOptions::default()
-        },
-    );
-    let lp = swp_kernels::random_loop(
+/// A 6-op loop without recurrences: quick to compile at any level, and
+/// its key changes with the demotion level under `Ladder` and `Sat`.
+fn small_loop(seed: u64) -> swp_ir::Loop {
+    swp_kernels::random_loop(
         &swp_kernels::GenParams {
             ops: 6,
             mem_fraction: 0.3,
-            recurrences: 1,
+            recurrences: 0,
             div_fraction: 0.0,
         },
-        13,
-    );
-    let mk = |id: u64| RequestBatch {
-        batch_id: id,
-        client: "alias".into(),
+        seed,
+    )
+}
+
+fn ladder_request(batch_id: u64, client: &str, loops: Vec<swp_ir::Loop>) -> RequestBatch {
+    RequestBatch {
+        batch_id,
+        client: client.into(),
         deadline_ms: 0,
         choice: WireChoice::Ladder,
         opt: OptLevel::Off,
         verify: VerifyLevel::Off,
-        loops: vec![lp.clone()],
-    };
-    let first = compile(&server, &mk(1));
-    assert_eq!(first[0].1.demotion, 0, "first request was demoted");
-    let second = compile(&server, &mk(2));
-    assert!(second[0].1.demotion > 0, "drained bucket did not demote");
+        loops,
+    }
+}
+
+/// One token bucket of exactly one full-effort compile, never refilled:
+/// a client's first compile runs at full effort and drains it.
+fn one_compile_budget() -> AdmissionOptions {
+    AdmissionOptions {
+        bucket_capacity: 4,
+        full_cost: 4,
+        demoted_cost: 1,
+        refill_per_completion: 0,
+        ..AdmissionOptions::default()
+    }
+}
+
+#[test]
+fn demoted_requests_never_alias_full_effort_store_entries() {
+    // The demoted record exists first; a later full-effort request for
+    // the same loop must not be answered by it, and compiles its own.
+    let root = fresh_root("alias");
+    let server = start_server("alias", &root, one_compile_budget());
+    let (drain, lp) = (small_loop(12), small_loop(13));
+    let first = compile(&server, &ladder_request(1, "poor", vec![drain, lp.clone()]));
+    assert_eq!(first[0].1.demotion, 0, "the draining compile was demoted");
+    assert_eq!(first[1].1.demotion, 2, "drained bucket did not demote");
+    let second = compile(&server, &ladder_request(2, "rich", vec![lp]));
+    assert_eq!(second[0].1.demotion, 0, "a demoted record answered");
     let stats = server.stats();
+    assert_eq!(stats.cache.misses, 3, "{stats:?}");
     assert!(
         stats.store.persisted >= 2,
         "demoted and full-effort compiles shared a store record: {stats:?}"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_drained_client_is_served_full_effort_records_without_compiling() {
+    let root = fresh_root("drained");
+    let (lp, drain) = (small_loop(21), small_loop(22));
+    let cold = {
+        let server = start_server("drained", &root, one_compile_budget());
+        // `lp` compiles at full effort and drains the bucket; `drain`
+        // is then compiled demoted.
+        let cold = compile(&server, &ladder_request(1, "c", vec![lp.clone(), drain]));
+        assert_eq!((cold[0].1.demotion, cold[1].1.demotion), (0, 2));
+        // Drained, the client is admitted at level 2, yet the memory
+        // cache's level-0 entry answers it at full effort.
+        let again = compile(&server, &ladder_request(2, "c", vec![lp.clone()]));
+        assert_eq!(again[0], cold[0]);
+        assert_eq!(server.stats().cache.misses, 2, "a cached loop recompiled");
+        cold
+    };
+    // After a restart, a bucket that holds nothing at all: the store's
+    // level-0 record answers, again at full effort and without a compile.
+    let server = start_server(
+        "drained",
+        &root,
+        AdmissionOptions {
+            bucket_capacity: 0,
+            ..one_compile_budget()
+        },
+    );
+    let warm = compile(&server, &ladder_request(3, "c", vec![lp]));
+    assert_eq!(warm[0], cold[0]);
+    let stats = server.stats();
+    assert_eq!(stats.demoted, 1, "the admission itself was demoted");
+    assert_eq!(stats.cache.misses, 0, "a stored loop recompiled: {stats:?}");
+    assert_eq!(stats.store.hits, 1);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_client_repeating_a_cached_batch_is_never_demoted() {
+    let root = fresh_root("repeat");
+    let server = start_server("repeat", &root, AdmissionOptions::default());
+    let loops: Vec<_> = (0..6).map(|i| small_loop(40 + i)).collect();
+    let req = RequestBatch {
+        choice: WireChoice::Sat,
+        ..ladder_request(0, "repeat", loops)
+    };
+    let first = compile(&server, &req);
+    for _ in 1..100 {
+        assert_eq!(compile(&server, &req), first);
+    }
+    assert!(first.iter().all(|(_, ok)| ok.demotion == 0));
+    let stats = server.stats();
+    assert_eq!(stats.demoted, 0, "{stats:?}");
+    assert_eq!(stats.cache.misses, 6, "a cached loop recompiled: {stats:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn the_store_reads_each_record_file_once() {
+    let root = fresh_root("read-once");
+    let req = heur_request(1, "it", 3);
+    let cold = compile(
+        &start_server("read-once", &root, AdmissionOptions::default()),
+        &req,
+    );
+    let server = start_server("read-once", &root, AdmissionOptions::default());
+    assert_eq!(compile(&server, &req), cold);
+    // With every record file gone, the store still answers from the
+    // records it has read, and nothing compiles.
+    for entry in std::fs::read_dir(root.join("store")).expect("store dir") {
+        let path = entry.expect("entry").path();
+        if path.extension().is_some_and(|e| e == "rec") {
+            std::fs::remove_file(path).expect("delete record");
+        }
+    }
+    assert_eq!(compile(&server, &req), cold);
+    let stats = server.stats();
+    assert_eq!(stats.cache.misses, 0, "a stored loop recompiled: {stats:?}");
+    assert_eq!((stats.store.hits, stats.store.reads), (6, 3), "{stats:?}");
+    assert_eq!(stats.store.memory_hits(), 3);
     let _ = std::fs::remove_dir_all(&root);
 }
