@@ -12,7 +12,7 @@ use showdown::{
     LadderOptions, OptLevel, Rung, SchedulerChoice, Severity, SuiteAudit, SuiteLadder, VerifyLevel,
 };
 use std::time::{Duration, Instant};
-use swp_heur::{HeurOptions, PriorityHeuristic};
+use swp_heur::{Buffers, HeurOptions, PriorityHeuristic};
 use swp_kernels::{livermore, spec_suites, GenParams, Suite, WeightedLoop};
 use swp_machine::Machine;
 use swp_most::MostOptions;
@@ -862,8 +862,9 @@ pub struct SolverRow {
     pub refactorizations: u64,
     /// Dual-repair bound flips across all solves for this kernel.
     pub bound_flips: u64,
-    /// Total FIFO buffers of the accepted schedule, when minimized.
-    pub buffers: Option<u32>,
+    /// FIFO buffers of the accepted schedule, their proven floor, and
+    /// whether the buffer solve proved them minimal.
+    pub buffers: Option<Buffers>,
 }
 
 /// The `experiments solver` speed table: deterministic solver-work
@@ -885,13 +886,27 @@ impl SolverSpeed {
              (deterministic quick budgets, fallback off — counters reproduce exactly)\n",
         );
         out += &format!(
-            "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>8}\n",
-            "k", "name", "ops", "ii", "nodes", "pivots", "piv/node", "refacts", "flips", "buffers"
+            "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>8} {:>6} {:>7}\n",
+            "k",
+            "name",
+            "ops",
+            "ii",
+            "nodes",
+            "pivots",
+            "piv/node",
+            "refacts",
+            "flips",
+            "buffers",
+            "floor",
+            "proved"
         );
         let dash = |v: Option<u32>| v.map_or_else(|| "-".to_owned(), |v| v.to_string());
         for r in &self.rows {
+            let proved = r
+                .buffers
+                .map_or("-", |b| if b.optimal { "yes" } else { "no" });
             out += &format!(
-                "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10.2} {:>8} {:>6} {:>8}\n",
+                "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10.2} {:>8} {:>6} {:>8} {:>6} {:>7}\n",
                 r.number,
                 r.name,
                 r.ops,
@@ -901,7 +916,9 @@ impl SolverSpeed {
                 r.pivots as f64 / r.nodes.max(1) as f64,
                 r.refactorizations,
                 r.bound_flips,
-                dash(r.buffers)
+                dash(r.buffers.map(|b| b.total)),
+                dash(r.buffers.and_then(|b| b.floor)),
+                proved
             );
         }
         let nodes: u64 = self.rows.iter().map(|r| r.nodes).sum();
@@ -912,11 +929,17 @@ impl SolverSpeed {
             .rows
             .iter()
             .filter_map(|r| r.buffers)
-            .map(u64::from)
+            .map(|b| u64::from(b.total))
             .sum();
+        let proved = self
+            .rows
+            .iter()
+            .filter(|r| r.buffers.is_some_and(|b| b.optimal))
+            .count();
         out += &format!(
             "solved {}/{}; total {nodes} nodes, {pivots} pivots; {:.2} pivots/node; \
-             {refactorizations} refactorizations, {bound_flips} bound flips, {buffers} buffers\n",
+             {refactorizations} refactorizations, {bound_flips} bound flips, {buffers} buffers; \
+             {proved} buffer totals proved minimal\n",
             self.rows.iter().filter(|r| r.ii.is_some()).count(),
             self.rows.len(),
             pivots as f64 / nodes.max(1) as f64
@@ -928,7 +951,8 @@ impl SolverSpeed {
 /// The `experiments solver` table: run MOST (fallback disabled) over the
 /// 24 Livermore kernels under smoke-test-sized deterministic budgets and
 /// record node, pivot, refactorization and bound-flip work and the
-/// accepted schedule's buffer total per kernel. The budgets are deliberately
+/// accepted schedule's buffer total, its proven floor and whether the
+/// buffer solve proved it minimal, per kernel. The budgets are deliberately
 /// tighter than [`Effort::Quick`]'s: a gate must be cheap enough to run
 /// on every CI push, and a solver-efficiency regression shows up at any
 /// budget size.

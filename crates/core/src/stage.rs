@@ -143,7 +143,7 @@ fn optimal(
         search_effort: s.search_effort,
         pivots: s.pivots,
         deadline_hit: s.deadline_hit,
-        buffers: s.buffers,
+        buffers: s.buffers.map(|b| b.total),
         ..Scheduled::new((p.body, p.schedule, p.allocation), s.min_ii, ns, s.alloc_ns)
     })
 }

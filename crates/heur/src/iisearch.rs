@@ -24,17 +24,26 @@ pub enum IiOutcome {
     Schedule {
         /// The schedule.
         schedule: Schedule,
-        /// Its total FIFO buffers, when the backend minimized them.
-        buffers: Option<u32>,
-        /// Whether the search ran to completion, so that a proof of
-        /// infeasibility at this II would also have been found.
-        complete: bool,
+        /// Its FIFO buffers, when the backend minimized them.
+        buffers: Option<Buffers>,
     },
     /// Proven: no schedule exists at this II.
     Infeasible,
     /// Neither: the budget ran out first, or the backend cannot prove
     /// infeasibility.
     Unknown,
+}
+
+/// The FIFO buffers of a schedule from a buffer-minimizing backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Buffers {
+    /// Total FIFO buffers.
+    pub total: u32,
+    /// A proven lower bound on the total at this II, when one was found.
+    pub floor: Option<u32>,
+    /// Whether the search proved `total` minimal at this II, by meeting
+    /// `floor` or by running to completion.
+    pub optimal: bool,
 }
 
 /// Statistics of an II search (and of its fallback, when it ran).
@@ -52,11 +61,11 @@ pub struct SearchStats {
     /// search. Such a result depends on host load; the schedule cache
     /// refuses to memoize it.
     pub deadline_hit: bool,
-    /// Whether every II below the achieved one was proven infeasible and
-    /// the winning solve ran to completion: a rate-optimality certificate.
+    /// Whether every II below the achieved one was proven infeasible: a
+    /// rate-optimality certificate.
     pub optimal_ii: bool,
-    /// Total FIFO buffers of the accepted schedule, when minimized.
-    pub buffers: Option<u32>,
+    /// FIFO buffers of the accepted schedule, when minimized.
+    pub buffers: Option<Buffers>,
     /// Whether the heuristic fallback produced the result.
     pub fell_back: bool,
     /// IIs probed.
@@ -207,17 +216,13 @@ impl IiSearch<'_> {
             let outcome = solve(&ddg, ii, deadline, &mut stats);
             drop(step_span);
             match outcome {
-                IiOutcome::Schedule {
-                    schedule,
-                    buffers,
-                    complete,
-                } => {
+                IiOutcome::Schedule { schedule, buffers } => {
                     debug_assert_eq!(schedule.validate(lp, &ddg, machine), Ok(()));
                     let (alloc, alloc_ns) =
                         swp_obs::timed_ns("regalloc.attempt", || allocate(lp, &schedule, machine));
                     stats.alloc_ns = stats.alloc_ns.saturating_add(alloc_ns);
                     if let AllocOutcome::Allocated(allocation) = alloc {
-                        stats.optimal_ii = proven_below && complete;
+                        stats.optimal_ii = proven_below;
                         stats.buffers = buffers;
                         return Ok(OptimalPipelined {
                             body: lp.clone(),
@@ -283,7 +288,7 @@ mod tests {
     /// A valid schedule at `ii` with every op after the load delayed by
     /// `stretch` whole IIs: the same modulo rows, but the loaded value
     /// lives `stretch` iterations longer.
-    fn scheduled(ii: u32, stretch: i64, complete: bool) -> IiOutcome {
+    fn scheduled(ii: u32, stretch: i64) -> IiOutcome {
         let (lp, m) = (scale(), Machine::r8000());
         let ddg = Ddg::build(&lp, &m);
         let order: Vec<_> = lp.ops().iter().map(|o| o.id).collect();
@@ -306,7 +311,6 @@ mod tests {
         IiOutcome::Schedule {
             schedule: Schedule::new(ii, times),
             buffers: None,
-            complete,
         }
     }
 
@@ -375,7 +379,7 @@ mod tests {
             ..search(&never)
         };
         for (name, s) in [("cancel", search(&cancelled)), ("deadline", expired)] {
-            let (r, solved) = run(&s, |ii| scheduled(ii, 0, true));
+            let (r, solved) = run(&s, |ii| scheduled(ii, 0));
             assert!(solved.is_empty(), "{name}: no II may start");
             assert!(
                 matches!(
@@ -395,17 +399,16 @@ mod tests {
         // What the solve reports at MinII = 1 (every higher II schedules),
         // the II achieved, and whether it is certified optimal.
         let cases = [
-            ("complete schedule", scheduled(1, 0, true), 1, true),
-            ("incomplete schedule", scheduled(1, 0, false), 1, false),
+            ("schedule", scheduled(1, 0), 1, true),
             ("proven infeasible", IiOutcome::Infeasible, 2, true),
             ("unknown", IiOutcome::Unknown, 2, false),
-            ("allocation failure", scheduled(1, 200, true), 2, false),
+            ("allocation failure", scheduled(1, 200), 2, false),
         ];
         let cancel = CancelToken::never();
         for (name, at_min_ii, ii, certified) in cases {
             let (r, solved) = run(&search(&cancel), |i| match i {
                 1 => at_min_ii.clone(),
-                _ => scheduled(i, 0, true),
+                _ => scheduled(i, 0),
             });
             let p = r.unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(p.ii(), ii, "{name}");
@@ -439,7 +442,7 @@ mod tests {
             max_ops: 1,
             ..search(&cancel)
         };
-        let (r, solved) = run(&s, |ii| scheduled(ii, 0, true));
+        let (r, solved) = run(&s, |ii| scheduled(ii, 0));
         let p = r.expect("the heuristic rescues");
         assert!(solved.is_empty());
         assert!(p.stats.fell_back);

@@ -50,7 +50,7 @@ pub mod priority;
 mod restable;
 mod search;
 
-pub use iisearch::{IiOutcome, IiSearch, OptimalPipelined, SearchError, SearchStats};
+pub use iisearch::{Buffers, IiOutcome, IiSearch, OptimalPipelined, SearchError, SearchStats};
 pub use modsched::{schedule_at, AttemptStats};
 pub use priority::{priority_list, PriorityHeuristic};
 pub use restable::{identical_resources, ResTable};

@@ -66,6 +66,15 @@ pub struct SolveOptions {
     /// first dive goes where the relaxation points and the known solution
     /// only serves as a pruning floor and a fallback answer.
     pub warm_start: Option<Vec<f64>>,
+    /// A proven bound on every integral objective value: a lower bound
+    /// when minimizing, an upper bound when maximizing. The search ends
+    /// with [`Status::Optimal`] as soon as the warm start or a new
+    /// incumbent reaches it. It never prunes: an incumbent is replaced
+    /// only by a strictly better one, so an incumbent at a valid floor is
+    /// the one the unstopped search would also have returned, bit for
+    /// bit. A floor that is not a true bound is the caller's bug — the
+    /// search would stop at a non-optimal incumbent and call it optimal.
+    pub objective_floor: Option<f64>,
 }
 
 impl Default for SolveOptions {
@@ -81,6 +90,7 @@ impl Default for SolveOptions {
             branch_up_first: false,
             cancel: swp_obs::CancelToken::never(),
             warm_start: None,
+            objective_floor: None,
         }
     }
 }
@@ -147,9 +157,7 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
         .with_i("rows", engine.rows() as i64);
 
     let mut incumbent: Option<LpSolution> = None;
-    let mut nodes: u64 = 0;
-    let mut prunes: u64 = 0;
-    let mut warm_hit = false;
+    let mut tally = Tally::default();
     let mut truncated = false;
 
     struct Frame {
@@ -170,6 +178,16 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
         } else {
             bound <= inc + 1e-9
         }
+    };
+    // Returns true when an incumbent meets the proven objective floor.
+    let at_floor = |obj: f64| {
+        options.objective_floor.is_some_and(|floor| {
+            if minimize {
+                obj <= floor + 1e-9
+            } else {
+                obj >= floor - 1e-9
+            }
+        })
     };
 
     if let Some(start) = options
@@ -197,16 +215,21 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
             -sol.objective
         };
         engine.set_cutoff(Some(cut));
+        tally.warm_hit = true;
+        tally.floor_stop = at_floor(sol.objective);
         incumbent = Some(sol);
-        warm_hit = true;
+        if tally.floor_stop {
+            return finish(Status::Optimal, incumbent, &tally, &budget, &engine);
+        }
     }
 
     'search: loop {
-        if nodes >= options.node_limit || budget.pivots >= budget.pivot_limit || budget.poll() {
+        if tally.nodes >= options.node_limit || budget.pivots >= budget.pivot_limit || budget.poll()
+        {
             truncated = true;
             break;
         }
-        nodes += 1;
+        tally.nodes += 1;
 
         let outcome = engine.solve_budgeted(&lower, &upper, &mut budget);
         match outcome {
@@ -215,7 +238,7 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
                     .as_ref()
                     .is_some_and(|inc| dominated(sol.objective, inc.objective));
                 if prune {
-                    prunes += 1;
+                    tally.prunes += 1;
                 }
                 if !prune {
                     match pick_branch(model, &sol, options) {
@@ -245,7 +268,17 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
                                     -rounded.objective
                                 };
                                 engine.set_cutoff(Some(cut));
+                                tally.floor_stop = at_floor(rounded.objective);
                                 incumbent = Some(rounded);
+                                if tally.floor_stop {
+                                    return finish(
+                                        Status::Optimal,
+                                        incumbent,
+                                        &tally,
+                                        &budget,
+                                        &engine,
+                                    );
+                                }
                                 if options.stop_at_first {
                                     truncated = true;
                                     break 'search;
@@ -273,15 +306,7 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
             LpOutcome::Unbounded => {
                 // An unbounded relaxation of a node: the integer problem is
                 // unbounded or ill-posed; report and stop.
-                return finish(
-                    Status::Unknown,
-                    incumbent,
-                    nodes,
-                    prunes,
-                    warm_hit,
-                    &budget,
-                    &engine,
-                );
+                return finish(Status::Unknown, incumbent, &tally, &budget, &engine);
             }
             LpOutcome::IterLimit => {
                 truncated = true;
@@ -320,7 +345,19 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
         (None, false) => Status::Infeasible,
         (None, true) => Status::Unknown,
     };
-    finish(status, incumbent, nodes, prunes, warm_hit, &budget, &engine)
+    finish(status, incumbent, &tally, &budget, &engine)
+}
+
+/// What one search did, beyond the engine's own counts.
+#[derive(Default)]
+struct Tally {
+    nodes: u64,
+    prunes: u64,
+    /// The warm start was feasible and became the first incumbent.
+    warm_hit: bool,
+    /// The search ended because an incumbent met
+    /// [`SolveOptions::objective_floor`].
+    floor_stop: bool,
 }
 
 /// Assemble the result and flush the solve's work counters to telemetry.
@@ -329,24 +366,23 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
 fn finish(
     status: Status,
     solution: Option<LpSolution>,
-    nodes: u64,
-    prunes: u64,
-    warm_hit: bool,
+    tally: &Tally,
     budget: &Budget,
     engine: &LpEngine,
 ) -> IlpResult {
     use swp_obs::{count, Counter};
     count(Counter::IlpSolves, 1);
-    count(Counter::IlpNodes, nodes);
-    count(Counter::IlpPrunes, prunes);
+    count(Counter::IlpNodes, tally.nodes);
+    count(Counter::IlpPrunes, tally.prunes);
     count(Counter::IlpPivots, budget.pivots);
     count(Counter::IlpRefactorizations, engine.refactorizations());
     count(Counter::IlpBoundFlips, engine.bound_flips());
-    count(Counter::IlpWarmStartHits, warm_hit as u64);
+    count(Counter::IlpWarmStartHits, tally.warm_hit as u64);
+    count(Counter::IlpFloorStops, tally.floor_stop as u64);
     IlpResult {
         status,
         solution,
-        nodes,
+        nodes: tally.nodes,
         pivots: budget.pivots,
         refactorizations: engine.refactorizations(),
         bound_flips: engine.bound_flips(),

@@ -2,8 +2,8 @@
 //! (\[GoAlGa94a\], \[AlGoGa95\]) and the buffer-minimization objective the
 //! McGill team adopted for this study (§3.3, adjustment 2).
 
-use swp_ilp::{Model, Sense, VarId};
-use swp_ir::{Ddg, Loop, OpId};
+use swp_ilp::{solve_lp, LpOutcome, Model, Sense, VarId};
+use swp_ir::{Ddg, LongestPaths, Loop, OpId};
 use swp_machine::Machine;
 
 /// Handle to the variables of a scheduling model.
@@ -263,6 +263,44 @@ impl SchedulingModel {
             full[b.index()] = need as f64;
         }
         full
+    }
+
+    /// A proven lower bound on the total buffers of every schedule this
+    /// buffer model admits, or `None` when the bound's LP did not solve.
+    ///
+    /// Dependences alone force `σ_use − σ_def ≥ MinDist(def, use)`, the
+    /// longest path at this II, so every `b_v` is at least
+    /// `⌈(MinDist(def, use) + II·d)/II⌉`. The LP relaxation of a copy of
+    /// the model with those lower bounds is solved, and its value rounded
+    /// up to the next integer with a tolerance: the engine's cost
+    /// perturbation can only overstate the objective of the vertex it
+    /// returns, so an LP value a hair above an integer is that integer.
+    pub fn buffer_floor(&self, lp: &Loop, ddg: &Ddg) -> Option<u32> {
+        let paths = LongestPaths::compute(ddg, self.ii)?;
+        let ii = i64::from(self.ii);
+        let uses = lp.uses();
+        let mut tightened = self.model.clone();
+        for (vi, info) in lp.values().iter().enumerate() {
+            let (Some(b), Some(def)) = (self.buffer_vars[vi], info.def) else {
+                continue;
+            };
+            let need = uses[vi]
+                .iter()
+                .filter_map(|&(user, idx)| {
+                    let dist = i64::from(lp.op(user).operands[idx].distance);
+                    let span = paths.get(def, user)? + ii * dist;
+                    Some((span + ii - 1).div_euclid(ii))
+                })
+                .max()
+                .unwrap_or(0);
+            if need > 0 {
+                tightened.add_ge([(b, 1.0)], need as f64);
+            }
+        }
+        match solve_lp(&tightened) {
+            LpOutcome::Optimal(s) => Some((s.objective - 1e-3).ceil() as u32),
+            _ => None,
+        }
     }
 
     /// Total buffers in a solution (buffer objective only).

@@ -44,7 +44,7 @@ pub use formulation::{build_model, Objective, SchedulingModel};
 
 use std::time::Duration;
 use swp_heur::{
-    priority_list, IiOutcome, IiSearch, OptimalPipelined, PriorityHeuristic, SearchError,
+    priority_list, Buffers, IiOutcome, IiSearch, OptimalPipelined, PriorityHeuristic, SearchError,
     SearchStats,
 };
 use swp_ilp::{solve_ilp, SolveOptions, Status};
@@ -189,7 +189,7 @@ fn branch_orders(lp: &Loop, ddg: &Ddg, machine: &Machine, opts: &MostOptions) ->
 ///
 /// MOST has no proof of infeasibility the II search can rely on, so every
 /// II without a schedule is [`IiOutcome::Unknown`]; a certificate then
-/// needs the schedule at MinII from a completed search.
+/// needs a schedule at MinII.
 fn solve_at_ii(
     lp: &Loop,
     ddg: &Ddg,
@@ -223,7 +223,7 @@ fn solve_at_ii(
     };
     // Adjustment 1: resource-constrained feasibility as a filter.
     let feas_model = build_model(lp, ddg, machine, ii, Objective::Feasibility);
-    let mut feasible: Option<(Vec<f64>, bool)> = None;
+    let mut feasible: Option<Vec<f64>> = None;
     for order in orders {
         let stop_at_first = SolveOptions {
             stop_at_first: true,
@@ -232,11 +232,7 @@ fn solve_at_ii(
         let r = solve(&feas_model, order, stop_at_first);
         match r.status {
             Status::Optimal | Status::Feasible => {
-                let complete = r.status == Status::Optimal || r.solution.is_some();
-                feasible = Some((
-                    r.solution.expect("status implies solution").values,
-                    complete,
-                ));
+                feasible = Some(r.solution.expect("status implies solution").values);
                 break;
             }
             // Infeasible in this model: no other order will change that.
@@ -244,13 +240,12 @@ fn solve_at_ii(
             Status::Unknown => continue, // try the next priority order
         }
     }
-    let Some((feas_values, complete)) = feasible else {
+    let Some(feas_values) = feasible else {
         return IiOutcome::Unknown;
     };
     let accept = |model: &SchedulingModel, values: &[f64], buffers| IiOutcome::Schedule {
         schedule: Schedule::new(ii, model.extract_times(values)),
         buffers,
-        complete,
     };
     if !opts.minimize_buffers {
         return accept(&feas_model, &feas_values, None);
@@ -258,6 +253,14 @@ fn solve_at_ii(
 
     // Adjustment 2: buffer minimization, accepting the best incumbent.
     let buf_model = build_model(lp, ddg, machine, ii, Objective::MinBuffers);
+    // A proven floor ends the search at an incumbent that meets it. The
+    // search itself still runs on the untightened model, and it only
+    // ever replaces an incumbent with a strictly better one, so stopping
+    // there returns the schedule the full budget would have returned.
+    let floor = {
+        let _span = swp_obs::span("most.floor");
+        buf_model.buffer_floor(lp, ddg)
+    };
     for order in orders {
         // Seed the search with the feasibility schedule (extended by its
         // implied buffer counts — the two models share the
@@ -268,11 +271,16 @@ fn solve_at_ii(
         // far worse than where the buffer relaxation points.
         let warm = SolveOptions {
             warm_start: Some(buf_model.warm_start_from(lp, &feas_values)),
+            objective_floor: floor.map(f64::from),
             ..SolveOptions::default()
         };
         let r = solve(&buf_model, order, warm);
         if let Some(sol) = r.solution {
-            let buffers = buf_model.total_buffers(&sol.values);
+            let buffers = buf_model.total_buffers(&sol.values).map(|total| Buffers {
+                total,
+                floor,
+                optimal: r.status == Status::Optimal,
+            });
             return accept(&buf_model, &sol.values, buffers);
         }
         if r.status == Status::Infeasible {

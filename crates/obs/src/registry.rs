@@ -80,6 +80,7 @@ counters! {
     IlpRefactorizations => ("ilp.refactorizations", "ilp", Exact),
     IlpBoundFlips => ("ilp.bound_flips", "ilp", Exact),
     IlpWarmStartHits => ("ilp.warm_start_hits", "ilp", Exact),
+    IlpFloorStops => ("ilp.floor_stops", "ilp", Exact),
     // swp-most: the optimal scheduler's II ladder.
     MostIiSteps => ("most.ii_steps", "most", Exact),
     MostFallbacks => ("most.fallbacks", "most", Exact),

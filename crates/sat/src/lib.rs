@@ -202,7 +202,6 @@ fn solve_at_ii(
             IiOutcome::Schedule {
                 schedule: Schedule::new(ii, times),
                 buffers: None,
-                complete: true,
             }
         }
         SolveOutcome::Unsat => IiOutcome::Infeasible,

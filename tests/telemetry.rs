@@ -164,6 +164,7 @@ fn traced_compile_records_every_phase_and_exports_a_valid_trace() {
         "compile",
         "ladder.rung",
         "most.ii_step",
+        "most.floor",
         "ilp.solve",
         "heur.attempt",
         "sched.heur",
