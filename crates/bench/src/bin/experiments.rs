@@ -65,7 +65,7 @@ use swp_bench::{
     ablation_ii_search, ablation_order, ablation_spill, audit_with, chaos_rung_usage,
     chaos_scenarios, chaos_with, compile_speed, diff_golden, fig2_geomean, fig2_with, fig3_with,
     fig4_with, fig5_with, fig6_fig7_with, ii_compare_with, loop_size, opt_with, portfolio_sweep,
-    portfolio_wall_gate, profile_workload, solver_speed, Effort,
+    portfolio_wall_gate, profile_workload, solver_speed, Effort, HEURISTIC_PASSES,
 };
 use swp_heur::PriorityHeuristic;
 use swp_machine::Machine;
@@ -298,7 +298,8 @@ fn main() {
         writeln!(o, "== §4.7: compile-speed comparison ==");
         let c = compile_speed(&m, effort);
         eprintln!(
-            "heuristic: {:?} over {} loops; ILP: {:?}; ratio {:.0}x (paper: 259x)",
+            "heuristic: {:?} over {} loops (fastest of {HEURISTIC_PASSES} passes); \
+             ILP: {:?} (one pass); ratio {:.0}x (paper: 259x)",
             c.heuristic,
             c.loops,
             c.ilp,

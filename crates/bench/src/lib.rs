@@ -36,12 +36,12 @@ impl Effort {
     /// counts only, with every wall-clock limit disabled, so quick-effort
     /// results (tests, CI gates, the schedule cache) are identical on any
     /// host at any load; they are the compile service's budgets,
-    /// [`swp_serve::quick_most_options`]. `Full` keeps the paper's
+    /// [`showdown::quick_most_options`]. `Full` keeps the paper's
     /// wall-clock regime — results that truncate there carry
     /// `deadline_hit` and are not memoized.
     pub fn most_options(self) -> MostOptions {
         match self {
-            Effort::Quick => swp_serve::quick_most_options(),
+            Effort::Quick => showdown::quick_most_options(),
             Effort::Full => MostOptions {
                 node_limit: 2_000_000,
                 time_limit: Some(Duration::from_secs(10)),
@@ -53,10 +53,10 @@ impl Effort {
 
     /// SAT options for this effort level, same determinism contract as
     /// [`Effort::most_options`]: `Quick` is conflict/propagation-counted
-    /// only ([`swp_serve::quick_sat_options`]), `Full` keeps wall clocks.
+    /// only ([`showdown::quick_sat_options`]), `Full` keeps wall clocks.
     pub fn sat_options(self) -> SatOptions {
         match self {
-            Effort::Quick => swp_serve::quick_sat_options(),
+            Effort::Quick => showdown::quick_sat_options(),
             Effort::Full => SatOptions {
                 conflict_limit: 2_000_000,
                 time_limit: Some(Duration::from_secs(10)),
@@ -332,7 +332,9 @@ pub fn fig6_fig7_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec
 /// §4.7's compile-speed comparison over a set of loops.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileSpeed {
-    /// Wall-clock in the heuristic scheduler.
+    /// Wall-clock in the heuristic scheduler: the fastest of
+    /// [`HEURISTIC_PASSES`] passes over the loops, because one pass is
+    /// short enough that host noise would swing the ratio.
     pub heuristic: Duration,
     /// Wall-clock in the ILP scheduler (no fallback, so failures burn
     /// their full budget as in the paper's 3-minute limit).
@@ -348,17 +350,25 @@ impl CompileSpeed {
     }
 }
 
+/// Heuristic passes [`compile_speed`] times; it keeps the fastest.
+pub const HEURISTIC_PASSES: usize = 5;
+
 /// Table (§4.7): total scheduling time, heuristic vs ILP.
 pub fn compile_speed(machine: &Machine, effort: Effort) -> CompileSpeed {
     let loops: Vec<_> = spec_suites()
         .into_iter()
         .flat_map(|s| s.loops.into_iter().map(|l| l.body))
         .collect();
-    let h0 = Instant::now();
-    for lp in &loops {
-        let _ = swp_heur::pipeline(lp, machine, &HeurOptions::default());
-    }
-    let heuristic = h0.elapsed();
+    let heuristic = (0..HEURISTIC_PASSES)
+        .map(|_| {
+            let h0 = Instant::now();
+            for lp in &loops {
+                let _ = swp_heur::pipeline(lp, machine, &HeurOptions::default());
+            }
+            h0.elapsed()
+        })
+        .min()
+        .expect("at least one pass");
     let most_opts = MostOptions {
         fallback: false,
         ..effort.most_options()

@@ -130,11 +130,6 @@ pub struct CompileStats {
     pub opt_passes: Vec<&'static str>,
     /// Values spilled (heuristic only).
     pub spills: u32,
-    /// Worker count of the [`crate::Driver`] that issued this compile
-    /// (the resolved `SWP_THREADS`/available-parallelism choice); 0 for
-    /// compiles performed outside any driver. Informational: cache hits
-    /// return the count of whichever driver compiled the entry first.
-    pub driver_threads: usize,
     /// Nanoseconds in the pipeliner proper (II search + scheduling),
     /// excluding register allocation.
     pub sched_ns: u64,

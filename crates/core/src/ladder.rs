@@ -14,6 +14,7 @@
 //! that escapes its rung.
 
 use crate::compile::{CompileError, CompiledLoop};
+use crate::portfolio::PortfolioOptions;
 use crate::stage::{self, Backend, Mode};
 use swp_codegen::{CodeSection, PipelinedLoop};
 use swp_heur::HeurOptions;
@@ -207,6 +208,62 @@ impl LadderOptions {
             }
         }
         opts
+    }
+}
+
+/// Deterministic quick-effort MOST budgets: the compile service's rung-0
+/// configuration and the figures' quick effort. No wall-clock limit
+/// appears here — a served result must be reproducible on any host, or
+/// the service's disk store could never return it. Per-request deadlines
+/// are layered on top (and those results are then transient by the
+/// cache's own rules).
+pub fn quick_most_options() -> MostOptions {
+    MostOptions {
+        node_limit: 20_000,
+        pivot_limit: 400_000,
+        time_limit: None,
+        loop_time_limit: None,
+        // The deterministic ladder cap: ~3 full solves' worth of pivots
+        // across all IIs tried for one loop, so a loop whose schedules
+        // keep failing allocation cannot grind through every II to MaxII
+        // at full budget.
+        loop_pivot_limit: Some(1_200_000),
+        max_ops: 64,
+        ..MostOptions::default()
+    }
+}
+
+/// Deterministic quick-effort SAT budgets, mirroring
+/// [`quick_most_options`]: conflict/propagation caps only, no wall
+/// clocks, so a SAT schedule replays bit-identically anywhere.
+pub fn quick_sat_options() -> SatOptions {
+    SatOptions {
+        conflict_limit: 20_000,
+        propagation_limit: 2_000_000,
+        time_limit: None,
+        loop_time_limit: None,
+        loop_conflict_limit: Some(60_000),
+        max_ops: 64,
+        ..SatOptions::default()
+    }
+}
+
+/// The deterministic ladder: quick budgets on both optimal rungs.
+pub fn quick_ladder_options() -> LadderOptions {
+    LadderOptions {
+        most: quick_most_options(),
+        sat: quick_sat_options(),
+        ..LadderOptions::default()
+    }
+}
+
+/// The deterministic portfolio: every backend on quick budgets, so the
+/// fixed-priority race outcome is host-independent.
+pub fn quick_portfolio_options() -> PortfolioOptions {
+    PortfolioOptions {
+        most: quick_most_options(),
+        sat: quick_sat_options(),
+        ..PortfolioOptions::default()
     }
 }
 
@@ -418,36 +475,10 @@ mod tests {
         b.finish()
     }
 
-    /// Deterministic ladder budgets: node/pivot counts only, no wall
-    /// clocks, so tests reproduce on any host.
-    fn quick() -> LadderOptions {
-        LadderOptions {
-            most: MostOptions {
-                node_limit: 20_000,
-                pivot_limit: 400_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_pivot_limit: Some(1_200_000),
-                max_ops: 64,
-                ..MostOptions::default()
-            },
-            sat: SatOptions {
-                conflict_limit: 20_000,
-                propagation_limit: 2_000_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_conflict_limit: Some(60_000),
-                max_ops: 64,
-                ..SatOptions::default()
-            },
-            ..LadderOptions::default()
-        }
-    }
-
     #[test]
     fn quiet_ladder_ships_rung_0_with_a_clean_gate() {
         let m = Machine::r8000();
-        let c = compile_ladder(&saxpy(), &m, &quick()).expect("total");
+        let c = compile_ladder(&saxpy(), &m, &quick_ladder_options()).expect("total");
         assert_eq!(c.rung, Some(Rung::Ilp));
         assert_eq!(c.attempts.len(), 1);
         assert_eq!(c.attempts[0].outcome, RungOutcome::Accepted);
@@ -457,7 +488,7 @@ mod tests {
         let plain = compile_loop(
             &saxpy(),
             &m,
-            &SchedulerChoice::IlpWith(quick().most.without_fallback()),
+            &SchedulerChoice::IlpWith(quick_most_options().without_fallback()),
         )
         .expect("ilp");
         assert_eq!(c.stats.ii, plain.stats.ii);
@@ -470,7 +501,7 @@ mod tests {
         let m = Machine::r8000();
         let opts = LadderOptions {
             chaos: ChaosOptions::default().with_fault(Rung::Ilp, ChaosFault::Panic),
-            ..quick()
+            ..quick_ladder_options()
         };
         let c = compile_ladder(&saxpy(), &m, &opts).expect("total");
         assert_eq!(c.rung, Some(Rung::Sat));
@@ -497,7 +528,7 @@ mod tests {
                     .with_fault(Rung::Sat, fault)
                     .with_fault(Rung::Heuristic, fault)
                     .with_fault(Rung::Escalated, fault),
-                ..quick()
+                ..quick_ladder_options()
             };
             let c = compile_ladder(&saxpy(), &m, &opts).expect("rung 4 is total");
             assert_eq!(c.rung, Some(Rung::Sequential), "{fault:?}");
@@ -529,13 +560,13 @@ mod tests {
             most: MostOptions {
                 // Push rungs 0 and 1 out of the way deterministically.
                 max_ops: 0,
-                ..quick().most
+                ..quick_most_options()
             },
             sat: SatOptions {
                 max_ops: 0,
-                ..quick().sat
+                ..quick_sat_options()
             },
-            ..quick()
+            ..quick_ladder_options()
         };
         let c = compile_ladder(&saxpy(), &m, &opts).expect("total");
         assert!(matches!(
@@ -558,13 +589,13 @@ mod tests {
             ),
             most: MostOptions {
                 max_ops: 0,
-                ..quick().most
+                ..quick_most_options()
             },
             sat: SatOptions {
                 max_ops: 0,
-                ..quick().sat
+                ..quick_sat_options()
             },
-            ..quick()
+            ..quick_ladder_options()
         };
         let c = compile_ladder(&saxpy(), &m, &opts).expect("compiles");
         assert_eq!(c.rung, Some(Rung::Heuristic));
@@ -578,7 +609,8 @@ mod tests {
     fn empty_loop_exhausts_the_ladder() {
         let m = Machine::r8000();
         let empty = LoopBuilder::new("empty").finish();
-        let e = compile_ladder(&empty, &m, &quick()).expect_err("nothing to schedule");
+        let e =
+            compile_ladder(&empty, &m, &quick_ladder_options()).expect_err("nothing to schedule");
         match e {
             CompileError::LadderExhausted { attempts } => {
                 assert!(!attempts.is_empty());

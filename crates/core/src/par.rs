@@ -56,34 +56,6 @@ impl Default for Driver {
     }
 }
 
-// Ambient worker-count hint: set by Driver::compile_with around
-// the underlying compile so CompileStats::driver_threads can record which
-// driver configuration performed the work (0 = outside any driver).
-thread_local! {
-    static DRIVER_THREADS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// The current thread's driver worker-count hint (0 outside a driver).
-pub(crate) fn driver_threads_hint() -> usize {
-    DRIVER_THREADS.with(std::cell::Cell::get)
-}
-
-/// RAII restore for the hint, so nested/sequential-view drivers unwind
-/// cleanly even when a compile panics.
-struct ThreadsHintGuard(usize);
-
-impl ThreadsHintGuard {
-    fn set(n: usize) -> ThreadsHintGuard {
-        ThreadsHintGuard(DRIVER_THREADS.with(|c| c.replace(n)))
-    }
-}
-
-impl Drop for ThreadsHintGuard {
-    fn drop(&mut self) {
-        DRIVER_THREADS.with(|c| c.set(self.0));
-    }
-}
-
 impl Driver {
     /// The default worker count: `SWP_THREADS` when set to a positive
     /// integer (clamped to at most 4× the available parallelism, so a
@@ -168,7 +140,6 @@ impl Driver {
         machine: &Machine,
         options: &CompileOptions,
     ) -> Result<Arc<CompiledLoop>, CompileError> {
-        let _hint = ThreadsHintGuard::set(self.threads);
         catch_internal(|| match &self.cache {
             Some(cache) => cache.get_or_compile_with(lp, machine, options),
             None => compile_loop_with(lp, machine, options).map(Arc::new),

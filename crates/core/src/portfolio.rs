@@ -84,6 +84,7 @@ pub fn compile_portfolio(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ladder::{quick_most_options, quick_portfolio_options};
     use swp_ir::LoopBuilder;
 
     fn saxpy() -> Loop {
@@ -98,34 +99,10 @@ mod tests {
         b.finish()
     }
 
-    /// Deterministic racer budgets: work measures only, no wall clocks.
-    fn quick() -> PortfolioOptions {
-        PortfolioOptions {
-            most: MostOptions {
-                node_limit: 20_000,
-                pivot_limit: 400_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_pivot_limit: Some(1_200_000),
-                max_ops: 64,
-                ..MostOptions::default()
-            },
-            sat: SatOptions {
-                conflict_limit: 20_000,
-                propagation_limit: 2_000_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_conflict_limit: Some(60_000),
-                ..SatOptions::default()
-            },
-            ..PortfolioOptions::default()
-        }
-    }
-
     #[test]
     fn ilp_outranks_everyone_when_it_succeeds() {
         let m = Machine::r8000();
-        let c = compile_portfolio(&saxpy(), &m, &quick()).expect("races");
+        let c = compile_portfolio(&saxpy(), &m, &quick_portfolio_options()).expect("races");
         assert_eq!(c.rung, Some(Rung::Ilp));
         assert!(c.stats.optimal);
     }
@@ -138,9 +115,9 @@ mod tests {
         let opts = PortfolioOptions {
             most: MostOptions {
                 max_ops: 0,
-                ..quick().most
+                ..quick_most_options()
             },
-            ..quick()
+            ..quick_portfolio_options()
         };
         for _ in 0..3 {
             let c = compile_portfolio(&saxpy(), &m, &opts).expect("races");
@@ -154,7 +131,7 @@ mod tests {
         let opts = PortfolioOptions {
             use_ilp: false,
             use_sat: false,
-            ..quick()
+            ..quick_portfolio_options()
         };
         let c = compile_portfolio(&saxpy(), &m, &opts).expect("races");
         assert_eq!(c.rung, Some(Rung::Heuristic));
@@ -167,7 +144,7 @@ mod tests {
             use_ilp: false,
             use_sat: false,
             use_heur: false,
-            ..quick()
+            ..quick_portfolio_options()
         };
         assert!(matches!(
             compile_portfolio(&saxpy(), &m, &opts),
@@ -179,7 +156,8 @@ mod tests {
     fn all_fail_returns_the_top_priority_error() {
         let m = Machine::r8000();
         let empty = LoopBuilder::new("empty").finish();
-        let e = compile_portfolio(&empty, &m, &quick()).expect_err("nothing schedules");
+        let e = compile_portfolio(&empty, &m, &quick_portfolio_options())
+            .expect_err("nothing schedules");
         assert!(matches!(e, CompileError::Ilp(_)), "got {e:?}");
     }
 }

@@ -197,7 +197,6 @@ pub(crate) fn finish(s: Scheduled) -> CompiledLoop {
             deadline_hit: s.deadline_hit,
             opt_passes: Vec::new(),
             spills: s.spills,
-            driver_threads: crate::par::driver_threads_hint(),
             sched_ns: s.sched_ns,
             alloc_ns: s.alloc_ns,
             expand_ns,

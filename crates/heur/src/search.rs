@@ -5,7 +5,7 @@ use crate::bankopt::{stall_score, PairingContext};
 use crate::modsched::{schedule_at, AttemptStats};
 use crate::postpass::adjust_pipestages;
 use crate::priority::{priority_list, PriorityHeuristic};
-use swp_ir::{passes::spill_to_memory, Ddg, Loop, Schedule};
+use swp_ir::{spill::spill_to_memory, Ddg, Loop, Schedule};
 use swp_machine::Machine;
 use swp_regalloc::{allocate, AllocOutcome, Allocation};
 

@@ -5,8 +5,8 @@
 //!
 //! - [`AliasSummary`] — a conservative per-array memory summary (which
 //!   arrays may be stored, loaded, or addressed indirectly). This is the
-//!   alias oracle that replaces the per-load whole-body rescans the old
-//!   `passes::cse` performed.
+//!   alias oracle that lets GVN merge loads without rescanning the body
+//!   per load.
 //! - [`ReachingDefs`] — iteration-distance-aware reaching definitions: for
 //!   every operand, the defining op, the distance in iterations, and
 //!   whether the same-iteration flow respects body order (sequential
@@ -143,7 +143,7 @@ impl ReachingDefs {
     }
 }
 
-/// Cross-iteration liveness of ops and values.
+/// Cross-iteration liveness of ops.
 ///
 /// An op is live when it (transitively, through operands at any distance)
 /// feeds a root. Roots are the stores; when the loop has no stores, the
@@ -154,7 +154,6 @@ impl ReachingDefs {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Liveness {
     live_ops: Vec<bool>,
-    live_values: Vec<bool>,
     has_roots: bool,
 }
 
@@ -195,21 +194,8 @@ impl Liveness {
                 }
             }
         }
-        let mut live_values = vec![false; lp.values().len()];
-        for op in lp.ops() {
-            if !live_ops[op.id.index()] {
-                continue;
-            }
-            if let Some(r) = op.result {
-                live_values[r.index()] = true;
-            }
-            for operand in &op.operands {
-                live_values[operand.value.index()] = true;
-            }
-        }
         Liveness {
             live_ops,
-            live_values,
             has_roots,
         }
     }
@@ -222,11 +208,6 @@ impl Liveness {
     /// Whether an op is live.
     pub fn op_live(&self, op: OpId) -> bool {
         self.live_ops[op.index()]
-    }
-
-    /// Whether a value is defined or read by a live op.
-    pub fn value_live(&self, v: ValueId) -> bool {
-        self.live_values[v.index()]
     }
 }
 

@@ -13,10 +13,7 @@
 //! - the data dependence graph [`Ddg`] with Tarjan SCCs, MinII
 //!   (ResMII/RecMII), and per-II longest-path tables used by both
 //!   schedulers,
-//! - the special inner-loop optimization passes of §2.1(3): if-conversion
-//!   (via the [`hir`] mini-language), recurrence interleaving,
-//!   inter-iteration common memory reference elimination, and classical
-//!   common subexpression elimination ([`passes`]),
+//! - if-conversion of §2.1(3) via the [`hir`] mini-language,
 //! - a dataflow framework over the cyclic IR ([`analysis`]): alias
 //!   summaries, iteration-distance-aware reaching definitions,
 //!   cross-iteration liveness, recurrence discovery, and value numbering,
@@ -24,7 +21,11 @@
 //!   folding, algebraic simplification, strength reduction, GVN, dead-op
 //!   elimination, and recurrence re-association in front of the
 //!   schedulers, each application structurally audited (`SWP-P0xx`) and
-//!   optionally translation-validated by differential simulation.
+//!   optionally translation-validated by differential simulation; its
+//!   `gvn` pass is the crate's common subexpression elimination and its
+//!   `reassoc` pass its recurrence interleaving,
+//! - the §2.8 spiller [`spill::spill_to_memory`], which the heuristic
+//!   pipeliner runs when register allocation fails.
 //!
 //! # Examples
 //!
@@ -57,9 +58,9 @@ pub mod hir;
 pub mod lint;
 mod op;
 pub mod opt;
-pub mod passes;
 mod pretty;
 mod schedule;
+pub mod spill;
 
 pub use analysis::Analyses;
 pub use builder::{Carried, LoopBuilder};

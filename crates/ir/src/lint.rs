@@ -3,7 +3,7 @@
 //! Cheap well-formedness and dead-code checks run on a [`Loop`] before
 //! either pipeliner sees it. Lints carry the stable `SWP-L00x` codes of
 //! the diagnostics engine (DESIGN.md §7); `swp-verify` maps them onto its
-//! [`Finding`] type and `core::compile` runs them whenever verification
+//! `Finding` type and `core::compile` runs them whenever verification
 //! is enabled.
 //!
 //! - `SWP-L001` — a structural invariant of the IR is violated

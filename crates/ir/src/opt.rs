@@ -34,9 +34,8 @@
 //!   via `swp-sim` by `core::compile`, which owns that dependency edge)
 //!   runs on the before/after pair of every applied pass.
 
-use crate::analysis::{expr_key, AliasSummary, Analyses, ValueNumbers, VnKey};
+use crate::analysis::{expr_key, Analyses, VnKey};
 use crate::op::{Loop, Op, OpId, Operand, Sem, ValueId, ValueInfo};
-use crate::passes::{remove_ops, substitute_values};
 use std::collections::HashMap;
 use std::time::Instant;
 use swp_machine::{Machine, OpClass};
@@ -398,6 +397,32 @@ fn apply_repls(lp: &mut Loop, map: &HashMap<ValueId, Repl>) {
     }
 }
 
+/// Remove ops and compact op ids (values keep their ids; dead results
+/// become dangling `def: None` entries, which remain valid invariants only
+/// if unused — callers must have rewritten uses first).
+fn remove_ops(lp: &mut Loop, dead: &[OpId]) {
+    let mut id_map: HashMap<OpId, OpId> = HashMap::new();
+    let mut ops = Vec::with_capacity(lp.ops.len() - dead.len());
+    for op in lp.ops.drain(..) {
+        if dead.contains(&op.id) {
+            if let Some(r) = op.result {
+                lp.values[r.index()].def = None;
+            }
+            continue;
+        }
+        let new_id = OpId(ops.len() as u32);
+        id_map.insert(op.id, new_id);
+        ops.push(Op { id: new_id, ..op });
+    }
+    lp.ops = ops;
+    for info in &mut lp.values {
+        if let Some(d) = info.def {
+            info.def = id_map.get(&d).copied();
+        }
+    }
+    debug_assert_eq!(lp.validate(), Ok(()));
+}
+
 /// Mirror of `swp_sim::interp::eval` for the non-memory semantics. The two
 /// must agree bit-for-bit — differential validation of `fold` depends on
 /// it (swp-ir cannot depend on swp-sim, so the table is duplicated here
@@ -686,23 +711,17 @@ fn strength(lp: &mut Loop, _an: &Analyses) -> bool {
 /// through chains of congruent values and equal literals. Loads merge only
 /// when the alias summary proves the array store-free.
 fn gvn(lp: &mut Loop, an: &Analyses) -> bool {
-    gvn_apply(lp, &an.alias, &an.values) > 0
-}
-
-/// The GVN engine, shared by the pass and by [`crate::passes::cse`].
-/// Returns the number of ops removed.
-pub(crate) fn gvn_apply(lp: &mut Loop, alias: &AliasSummary, vn: &ValueNumbers) -> usize {
     let mut seen: HashMap<VnKey, ValueId> = HashMap::new();
-    let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut replace: HashMap<ValueId, Repl> = HashMap::new();
     let mut dead: Vec<OpId> = Vec::new();
     for op in lp.ops() {
         let Some(r) = op.result else { continue };
-        let Some(key) = expr_key(lp, op, alias, vn.raw()) else {
+        let Some(key) = expr_key(lp, op, &an.alias, an.values.raw()) else {
             continue;
         };
         match seen.get(&key) {
             Some(&leader) => {
-                replace.insert(r, leader);
+                replace.insert(r, Repl::Value { v: leader, add: 0 });
                 dead.push(op.id);
             }
             None => {
@@ -711,12 +730,11 @@ pub(crate) fn gvn_apply(lp: &mut Loop, alias: &AliasSummary, vn: &ValueNumbers) 
         }
     }
     if dead.is_empty() {
-        return 0;
+        return false;
     }
-    substitute_values(lp, &replace);
-    let n = dead.len();
+    apply_repls(lp, &replace);
     remove_ops(lp, &dead);
-    n
+    true
 }
 
 /// Dead-op elimination from the liveness analysis: every op that does not

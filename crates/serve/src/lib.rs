@@ -17,7 +17,7 @@
 //!    degradation ladder instead of rejecting them.
 //!
 //! [`chaos`] proves the containment story end to end and
-//! [`bench`] measures what the layers cost and buy. See DESIGN.md §11.
+//! [`mod@bench`] measures what the layers cost and buy. See DESIGN.md §11.
 
 pub mod admission;
 pub mod bench;

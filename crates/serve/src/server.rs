@@ -37,8 +37,8 @@ use showdown::codec::{Fnv1a, Sink};
 use showdown::swp_most::MostOptions;
 use showdown::swp_sat::SatOptions;
 use showdown::{
-    cache_key_with, CacheStats, CompileOptions, CompiledLoop, LadderOptions, PortfolioOptions,
-    ScheduleCache, SchedulerChoice, Telemetry,
+    cache_key_with, CacheStats, CompileOptions, CompiledLoop, ScheduleCache, SchedulerChoice,
+    Telemetry,
 };
 use swp_ir::Loop;
 use swp_machine::{Machine, RegClass};
@@ -49,60 +49,10 @@ use crate::proto::{
 };
 use crate::store::{DiskStore, Lookup, StoreStats};
 
-/// Deterministic quick-effort MOST budgets: the service's rung-0
-/// configuration. No wall-clock limit appears here — a served result
-/// must be reproducible on any host, or the disk store could never
-/// return it. Per-request deadlines are layered on top (and those
-/// results are then transient by the cache's own rules).
-pub fn quick_most_options() -> MostOptions {
-    MostOptions {
-        node_limit: 20_000,
-        pivot_limit: 400_000,
-        time_limit: None,
-        loop_time_limit: None,
-        // The deterministic ladder cap: ~3 full solves' worth of pivots
-        // across all IIs tried for one loop, so a loop whose schedules
-        // keep failing allocation cannot grind through every II to MaxII
-        // at full budget.
-        loop_pivot_limit: Some(1_200_000),
-        max_ops: 64,
-        ..MostOptions::default()
-    }
-}
-
-/// Deterministic quick-effort SAT budgets, mirroring
-/// [`quick_most_options`]: conflict/propagation caps only, no wall
-/// clocks, so a served SAT schedule replays bit-identically anywhere.
-pub fn quick_sat_options() -> SatOptions {
-    SatOptions {
-        conflict_limit: 20_000,
-        propagation_limit: 2_000_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_conflict_limit: Some(60_000),
-        max_ops: 64,
-        ..SatOptions::default()
-    }
-}
-
-/// The service's base ladder: quick deterministic budgets, full gate.
-pub fn quick_ladder_options() -> LadderOptions {
-    LadderOptions {
-        most: quick_most_options(),
-        sat: quick_sat_options(),
-        ..LadderOptions::default()
-    }
-}
-
-/// The service's portfolio: every backend on quick deterministic
-/// budgets, so the fixed-priority race outcome is host-independent.
-pub fn quick_portfolio_options() -> PortfolioOptions {
-    PortfolioOptions {
-        most: quick_most_options(),
-        sat: quick_sat_options(),
-        ..PortfolioOptions::default()
-    }
-}
+/// The service's deterministic quick budgets (its rung-0 configuration).
+pub use showdown::{
+    quick_ladder_options, quick_most_options, quick_portfolio_options, quick_sat_options,
+};
 
 /// Server configuration.
 pub struct ServerOptions {

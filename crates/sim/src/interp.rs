@@ -393,7 +393,7 @@ pub fn check_loops_equivalent(a: &Loop, b: &Loop, iters: u64, tol: f64) -> Resul
 mod tests {
     use super::*;
     use swp_heur::{pipeline, HeurOptions};
-    use swp_ir::{passes, LoopBuilder};
+    use swp_ir::{spill, LoopBuilder};
     use swp_machine::Machine;
 
     fn stencil_loop() -> Loop {
@@ -465,7 +465,7 @@ mod tests {
         let lp = stencil_loop();
         // Spill the fmadd result.
         let target = lp.ops()[2].result.expect("madd result");
-        let spilled = passes::spill_to_memory(&lp, &[target]);
+        let spilled = spill::spill_to_memory(&lp, &[target]);
         let a = run_sequential(&lp, 25);
         let b = run_sequential(&spilled, 25);
         // Compare only cells of the original arrays (the spill slot is new).
@@ -476,37 +476,6 @@ mod tests {
             .filter(|((arr, _), _)| *arr < 2)
             .collect();
         assert_eq!(aw, bw); // finite values here; exact equality expected
-    }
-
-    #[test]
-    fn unroll_preserves_semantics() {
-        let lp = stencil_loop();
-        let un = passes::unroll(&lp, 3, &[]);
-        let a = run_sequential(&lp, 30);
-        let b = run_sequential(&un, 10);
-        assert!(a.approx_eq(&b, 0.0), "3x unroll × 10 iters == 30 iters");
-    }
-
-    #[test]
-    fn reduction_interleaving_reassociates_only() {
-        let mut b = LoopBuilder::new("sum");
-        let x = b.array("x", 8);
-        let v = b.load(x, 0, 8);
-        let s = b.carried_f("s");
-        let s1 = b.fadd(s.value(), v);
-        b.close(s, s1, 1);
-        b.store(x, 800000, 8, s1);
-        let lp = b.finish();
-        let (il, n) = passes::interleave_reduction(&lp, 4);
-        assert_eq!(n, 1);
-        // Interleaving changes the summation *order*, so compare final
-        // accumulator sums loosely. The interleaved version stores partial
-        // sums; instead of matching stores exactly, check both store
-        // *something* finite at the same number of cells.
-        let a = run_sequential(&lp, 20);
-        let b2 = run_sequential(&il, 5);
-        assert_eq!(a.written().len(), b2.written().len());
-        assert!(b2.written().iter().all(|(_, v)| v.is_finite()));
     }
 
     #[test]

@@ -33,16 +33,7 @@ fn quick_sat() -> SatOptions {
 }
 
 fn quick_most() -> swp_most::MostOptions {
-    swp_most::MostOptions {
-        node_limit: 20_000,
-        pivot_limit: 400_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_pivot_limit: Some(1_200_000),
-        max_ops: 64,
-        fallback: false,
-        ..swp_most::MostOptions::default()
-    }
+    showdown::quick_most_options().without_fallback()
 }
 
 #[test]

@@ -11,8 +11,10 @@
 //!   it. Both run modes (sequential ladder, raced portfolio) obey it.
 
 use showdown::{
-    cache_key_with, compile_loop, CacheStats, ChaosFault, ChaosOptions, CompileOptions, Corruption,
-    LadderOptions, OptLevel, PortfolioOptions, Rung, ScheduleCache, SchedulerChoice, VerifyLevel,
+    cache_key_with, compile_loop, quick_ladder_options, quick_most_options,
+    quick_portfolio_options, quick_sat_options, CacheStats, ChaosFault, ChaosOptions,
+    CompileOptions, Corruption, LadderOptions, OptLevel, PortfolioOptions, Rung, ScheduleCache,
+    SchedulerChoice, VerifyLevel,
 };
 use std::time::Duration;
 use swp_heur::HeurOptions;
@@ -33,47 +35,6 @@ fn saxpy() -> Loop {
     b.finish()
 }
 
-/// Deterministic budgets: work counts only, no wall clocks.
-fn quick_most() -> MostOptions {
-    MostOptions {
-        node_limit: 20_000,
-        pivot_limit: 400_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_pivot_limit: Some(1_200_000),
-        max_ops: 64,
-        ..MostOptions::default()
-    }
-}
-
-fn quick_sat() -> SatOptions {
-    SatOptions {
-        conflict_limit: 20_000,
-        propagation_limit: 2_000_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_conflict_limit: Some(60_000),
-        max_ops: 64,
-        ..SatOptions::default()
-    }
-}
-
-fn quick_ladder() -> LadderOptions {
-    LadderOptions {
-        most: quick_most(),
-        sat: quick_sat(),
-        ..LadderOptions::default()
-    }
-}
-
-fn quick_portfolio() -> PortfolioOptions {
-    PortfolioOptions {
-        most: quick_most(),
-        sat: quick_sat(),
-        ..PortfolioOptions::default()
-    }
-}
-
 #[test]
 fn cache_keys_are_pinned() {
     let m = Machine::r8000();
@@ -85,11 +46,11 @@ fn cache_keys_are_pinned() {
                 Rung::Heuristic,
                 ChaosFault::Corrupt(Corruption::NegativeTime),
             ),
-        ..quick_ladder()
+        ..quick_ladder_options()
     };
     let no_ilp = PortfolioOptions {
         use_ilp: false,
-        ..quick_portfolio()
+        ..quick_portfolio_options()
     };
     let heur = HeurOptions {
         backtrack_budget: 77,
@@ -102,26 +63,32 @@ fn cache_keys_are_pinned() {
             SchedulerChoice::HeuristicWith(heur).into(),
         ),
         ("ilp", SchedulerChoice::Ilp.into()),
-        ("ilp-with", SchedulerChoice::IlpWith(quick_most()).into()),
+        (
+            "ilp-with",
+            SchedulerChoice::IlpWith(quick_most_options()).into(),
+        ),
         ("sat", SchedulerChoice::Sat.into()),
-        ("sat-with", SchedulerChoice::SatWith(quick_sat()).into()),
+        (
+            "sat-with",
+            SchedulerChoice::SatWith(quick_sat_options()).into(),
+        ),
         ("ladder", SchedulerChoice::Ladder.into()),
         (
             "ladder-with",
-            SchedulerChoice::LadderWith(Box::new(quick_ladder())).into(),
+            SchedulerChoice::LadderWith(Box::new(quick_ladder_options())).into(),
         ),
         ("portfolio", SchedulerChoice::Portfolio.into()),
         (
             "portfolio-with",
-            SchedulerChoice::PortfolioWith(Box::new(quick_portfolio())).into(),
+            SchedulerChoice::PortfolioWith(Box::new(quick_portfolio_options())).into(),
         ),
         (
             "ladder-demoted-1",
-            SchedulerChoice::LadderWith(Box::new(quick_ladder().demoted(1))).into(),
+            SchedulerChoice::LadderWith(Box::new(quick_ladder_options().demoted(1))).into(),
         ),
         (
             "ladder-demoted-2",
-            SchedulerChoice::LadderWith(Box::new(quick_ladder().demoted(2))).into(),
+            SchedulerChoice::LadderWith(Box::new(quick_ladder_options().demoted(2))).into(),
         ),
         (
             "ladder-chaos",
@@ -134,7 +101,7 @@ fn cache_keys_are_pinned() {
         (
             "ladder-verified-opt",
             CompileOptions {
-                choice: SchedulerChoice::LadderWith(Box::new(quick_ladder())),
+                choice: SchedulerChoice::LadderWith(Box::new(quick_ladder_options())),
                 verify: VerifyLevel::Full,
                 opt: OptLevel::Full,
                 ..CompileOptions::default()
@@ -245,9 +212,9 @@ fn cache_key_equivalence_classes_are_pinned() {
 fn a_deadline_above_the_winner_taints_both_modes() {
     let m = Machine::r8000();
     let lp = saxpy();
-    let mut ladder = quick_ladder();
+    let mut ladder = quick_ladder_options();
     ladder.most.loop_time_limit = Some(Duration::ZERO);
-    let mut portfolio = quick_portfolio();
+    let mut portfolio = quick_portfolio_options();
     portfolio.most.loop_time_limit = Some(Duration::ZERO);
     for choice in [
         SchedulerChoice::LadderWith(Box::new(ladder)),
