@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p swp-bench --release --bin experiments -- all
-//! cargo run -p swp-bench --release --bin experiments -- fig2 [--full] [--threads N]
+//! cargo run -p swp-bench --release --bin experiments -- fig2 [--threads N]
 //! cargo run -p swp-bench --release --bin experiments -- audit -D
 //! ```
 //!
@@ -17,7 +17,7 @@
 //! bytes at any `--threads`, on any host. Wall clocks, load-dependent
 //! counts and verdicts go to stderr. The nine commands with a committed
 //! `gates/<cmd>.golden` (`all audit opt solver chaos portfolio profile
-//! serve-chaos serve-smoke`, at the default quick effort) take `-D` (or
+//! serve-chaos serve-smoke`) take `-D` (or
 //! `--deny`). It exits 1 when stdout differs from the golden (naming the
 //! first differing line) or when a must-be-zero invariant is broken:
 //! an audit finding, an opt validation finding or audit error, a chaos
@@ -65,7 +65,7 @@ use swp_bench::{
     ablation_ii_search, ablation_order, ablation_spill, audit_with, chaos_rung_usage,
     chaos_scenarios, chaos_with, compile_speed, diff_golden, fig2_geomean, fig2_with, fig3_with,
     fig4_with, fig5_with, fig6_fig7_with, ii_compare_with, loop_size, opt_with, portfolio_sweep,
-    portfolio_wall_gate, profile_workload, solver_speed, Effort, HEURISTIC_PASSES,
+    portfolio_wall_gate, profile_workload, solver_speed, HEURISTIC_PASSES,
 };
 use swp_heur::PriorityHeuristic;
 use swp_machine::Machine;
@@ -107,11 +107,6 @@ impl Stdout {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let effort = if args.iter().any(|a| a == "--full") {
-        Effort::Full
-    } else {
-        Effort::Quick
-    };
     let threads = match args.iter().position(|a| a == "--threads") {
         None => Driver::default_threads(),
         Some(i) => match args.get(i + 1).map(|v| v.parse::<usize>()) {
@@ -143,7 +138,7 @@ fn main() {
             "benchmark", "base(time)", "pipe(time)", "speedup"
         );
         let before = driver.cache_stats();
-        let rows = fig2_with(&driver, &m, effort);
+        let rows = fig2_with(&driver, &m);
         for r in &rows {
             writeln!(
                 o,
@@ -174,7 +169,7 @@ fn main() {
             "benchmark"
         );
         let before = driver.cache_stats();
-        let rows = fig3_with(&driver, &m, effort);
+        let rows = fig3_with(&driver, &m);
         for r in &rows {
             let ratios: String = r.ratios.iter().map(|v| format!(" {v:>7.3}")).collect();
             writeln!(o, "{:<12}{ratios}", r.name);
@@ -206,7 +201,7 @@ fn main() {
             "benchmark", "improvement"
         );
         let before = driver.cache_stats();
-        for r in fig4_with(&driver, &m, effort) {
+        for r in fig4_with(&driver, &m) {
             writeln!(o, "{:<12} {:>11.3}x", r.name, r.improvement);
         }
         writeln!(o, "(paper: alvinn and mdljdp2 stand out)");
@@ -221,7 +216,7 @@ fn main() {
             "benchmark", "vs pairing", "vs no-pairing", "fallback%"
         );
         let before = driver.cache_stats();
-        let rows = fig5_with(&driver, &m, effort);
+        let rows = fig5_with(&driver, &m);
         for r in &rows {
             writeln!(
                 o,
@@ -245,7 +240,7 @@ fn main() {
 
     if run("fig6") || run("fig7") {
         let before = driver.cache_stats();
-        let rows = fig6_fig7_with(&driver, &m, effort);
+        let rows = fig6_fig7_with(&driver, &m);
         if run("fig6") {
             writeln!(
                 o,
@@ -296,10 +291,10 @@ fn main() {
 
     if run("compile-speed") {
         writeln!(o, "== §4.7: compile-speed comparison ==");
-        let c = compile_speed(&m, effort);
+        let c = compile_speed(&m);
         eprintln!(
-            "heuristic: {:?} over {} loops (fastest of {HEURISTIC_PASSES} passes); \
-             ILP: {:?} (one pass); ratio {:.0}x (paper: 259x)",
+            "heuristic: {:?} over {} loops (fastest of {HEURISTIC_PASSES} runs per loop, \
+             interleaved with ILP); ILP: {:?} (one pass); ratio {:.0}x (paper: 259x)",
             c.heuristic,
             c.loops,
             c.ilp,
@@ -309,7 +304,7 @@ fn main() {
     }
 
     if run("loop-size") {
-        let s = loop_size(&m, effort);
+        let s = loop_size(&m);
         writeln!(
             o,
             "== §5.0: largest schedulable loop under a fixed budget ==\n\
@@ -321,7 +316,7 @@ fn main() {
     if run("ii-compare") {
         writeln!(o, "== §5.0: achieved II comparison ==");
         let before = driver.cache_stats();
-        let c = ii_compare_with(&driver, &m, effort);
+        let c = ii_compare_with(&driver, &m);
         writeln!(
             o,
             "ILP strictly better: {} (paper: 1); heuristic strictly better: {}; ties: {}; \
@@ -332,7 +327,7 @@ fn main() {
     }
 
     if run("ablation-order") {
-        let a = ablation_order(&m, effort);
+        let a = ablation_order(&m);
         writeln!(
             o,
             "== Ablation: MOST branch priority orders (§3.3 adj. 3) ==\n\
@@ -384,7 +379,7 @@ fn main() {
             "piv off",
             "piv full"
         );
-        let rows = opt_with(&driver, &m, effort);
+        let rows = opt_with(&driver, &m);
         for r in &rows {
             writeln!(
                 o,
@@ -437,7 +432,7 @@ fn main() {
              {:<12} {:<10} {:>6} {:>7} {:>9} {:>6}",
             "suite", "scheduler", "loops", "errors", "warnings", "notes"
         );
-        let rows = audit_with(&driver, &m, effort);
+        let rows = audit_with(&driver, &m);
         let mut total = 0usize;
         for r in &rows {
             writeln!(
@@ -475,7 +470,7 @@ fn main() {
              {:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>11}",
             "scenario", "loops", "r0", "r1", "r2", "r3", "r4", "quar", "escapes", "violations"
         );
-        let rows = chaos_with(&driver, &m, effort);
+        let rows = chaos_with(&driver, &m);
         let mut total_violations = 0usize;
         for sc in &chaos_scenarios() {
             let (mut loops, mut quar, mut escapes, mut broken) = (0usize, 0, 0, 0);

@@ -19,67 +19,17 @@ use swp_most::MostOptions;
 use swp_obs::{Counter, Telemetry};
 use swp_sat::SatOptions;
 
-/// Experiment sizing: `quick` shrinks ILP budgets and trip counts so the
-/// whole harness runs in CI time; `full` uses paper-scale settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effort {
-    /// Small deterministic budgets (tests, CI gates).
-    Quick,
-    /// Paper-scale budgets (the experiments binary).
-    Full,
-}
+/// Trip counts of the SPEC-like suites are divided by this (never below
+/// 8) so the whole harness runs in CI time; Livermore's long trips are
+/// halved.
+const TRIP_SCALE: u64 = 4;
 
-impl Effort {
-    /// MOST options for this effort level.
-    ///
-    /// `Quick` is **fully deterministic**: its budgets are node and pivot
-    /// counts only, with every wall-clock limit disabled, so quick-effort
-    /// results (tests, CI gates, the schedule cache) are identical on any
-    /// host at any load; they are the compile service's budgets,
-    /// [`showdown::quick_most_options`]. `Full` keeps the paper's
-    /// wall-clock regime — results that truncate there carry
-    /// `deadline_hit` and are not memoized.
-    pub fn most_options(self) -> MostOptions {
-        match self {
-            Effort::Quick => showdown::quick_most_options(),
-            Effort::Full => MostOptions {
-                node_limit: 2_000_000,
-                time_limit: Some(Duration::from_secs(10)),
-                loop_time_limit: Some(Duration::from_secs(120)),
-                ..MostOptions::default()
-            },
-        }
-    }
-
-    /// SAT options for this effort level, same determinism contract as
-    /// [`Effort::most_options`]: `Quick` is conflict/propagation-counted
-    /// only ([`showdown::quick_sat_options`]), `Full` keeps wall clocks.
-    pub fn sat_options(self) -> SatOptions {
-        match self {
-            Effort::Quick => showdown::quick_sat_options(),
-            Effort::Full => SatOptions {
-                conflict_limit: 2_000_000,
-                time_limit: Some(Duration::from_secs(10)),
-                loop_time_limit: Some(Duration::from_secs(120)),
-                ..SatOptions::default()
-            },
-        }
-    }
-
-    fn trip_scale(self) -> u64 {
-        match self {
-            Effort::Quick => 4,
-            Effort::Full => 1,
-        }
-    }
-}
-
-/// The SPEC-like suites with trip counts scaled to the effort level.
-fn scaled_suites(effort: Effort) -> Vec<Suite> {
+/// The SPEC-like suites with trip counts scaled by [`TRIP_SCALE`].
+fn scaled_suites() -> Vec<Suite> {
     let mut suites = spec_suites();
     for suite in &mut suites {
         for l in &mut suite.loops {
-            l.trip = (l.trip / effort.trip_scale()).max(8);
+            l.trip = (l.trip / TRIP_SCALE).max(8);
         }
     }
     suites
@@ -107,8 +57,8 @@ impl Fig2Row {
 /// Figure 2: SPEC-like suites with pipelining enabled vs disabled.
 /// Suites fan across `driver`'s pool; each suite's inner loops run on a
 /// sequential view sharing the driver's cache.
-pub fn fig2_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig2Row> {
-    let suites = scaled_suites(effort);
+pub fn fig2_with(driver: &Driver, machine: &Machine) -> Vec<Fig2Row> {
+    let suites = scaled_suites();
     driver.run_indexed(suites.len(), |i| {
         let suite = &suites[i];
         let inner = driver.sequential_view();
@@ -142,9 +92,9 @@ pub struct Fig3Row {
 /// Figure 3: the effect of restricting to one scheduling heuristic.
 /// Loops the restricted pipeliner cannot handle fall back to the
 /// list-scheduled baseline, exactly as the production compiler would.
-pub fn fig3_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig3Row> {
+pub fn fig3_with(driver: &Driver, machine: &Machine) -> Vec<Fig3Row> {
     use swp_sim::{simulate, simulate_baseline};
-    let suites = scaled_suites(effort);
+    let suites = scaled_suites();
     driver.run_indexed(suites.len(), |si| {
         let suite = &suites[si];
         let inner = driver.sequential_view();
@@ -190,8 +140,8 @@ pub struct Fig4Row {
 }
 
 /// Figure 4: memory-bank heuristic on vs off.
-pub fn fig4_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig4Row> {
-    let suites = scaled_suites(effort);
+pub fn fig4_with(driver: &Driver, machine: &Machine) -> Vec<Fig4Row> {
+    let suites = scaled_suites();
     driver.run_indexed(suites.len(), |i| {
         let suite = &suites[i];
         let inner = driver.sequential_view();
@@ -237,10 +187,10 @@ pub struct Fig5Row {
 /// The per-loop fallback recount recompiles every loop with the same MOST
 /// options as the suite run, so under a caching driver that whole pass
 /// is served from the cache.
-pub fn fig5_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Fig5Row> {
-    let most = SchedulerChoice::IlpWith(effort.most_options());
+pub fn fig5_with(driver: &Driver, machine: &Machine) -> Vec<Fig5Row> {
+    let most = SchedulerChoice::Ilp;
     let most_options = CompileOptions::from(most.clone());
-    let suites = scaled_suites(effort);
+    let suites = scaled_suites();
     driver.run_indexed(suites.len(), |i| {
         let suite = &suites[i];
         let inner = driver.sequential_view();
@@ -301,8 +251,8 @@ pub struct LivermoreRow {
 
 /// Figures 6 and 7: per-Livermore-kernel comparison; kernels fan across
 /// `driver`'s pool.
-pub fn fig6_fig7_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<LivermoreRow> {
-    let most = SchedulerChoice::IlpWith(effort.most_options());
+pub fn fig6_fig7_with(driver: &Driver, machine: &Machine) -> Vec<LivermoreRow> {
+    let most = SchedulerChoice::Ilp;
     let kernels = livermore();
     driver.run_indexed(kernels.len(), |i| {
         let k = &kernels[i];
@@ -313,7 +263,7 @@ pub fn fig6_fig7_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec
             &SchedulerChoice::Heuristic,
             &most,
             k.short_trip,
-            k.long_trip / effort.trip_scale().min(2),
+            k.long_trip / 2,
         )
         .expect("both schedulers handle Livermore");
         LivermoreRow {
@@ -332,9 +282,9 @@ pub fn fig6_fig7_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec
 /// §4.7's compile-speed comparison over a set of loops.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileSpeed {
-    /// Wall-clock in the heuristic scheduler: the fastest of
-    /// [`HEURISTIC_PASSES`] passes over the loops, because one pass is
-    /// short enough that host noise would swing the ratio.
+    /// Wall-clock in the heuristic scheduler: per loop, the fastest of
+    /// [`HEURISTIC_PASSES`] runs, summed over the loops. One run is short
+    /// enough that host noise would swing the ratio.
     pub heuristic: Duration,
     /// Wall-clock in the ILP scheduler (no fallback, so failures burn
     /// their full budget as in the paper's 3-minute limit).
@@ -350,34 +300,32 @@ impl CompileSpeed {
     }
 }
 
-/// Heuristic passes [`compile_speed`] times; it keeps the fastest.
+/// Heuristic runs per loop [`compile_speed`] times; it keeps the fastest.
 pub const HEURISTIC_PASSES: usize = 5;
 
-/// Table (§4.7): total scheduling time, heuristic vs ILP.
-pub fn compile_speed(machine: &Machine, effort: Effort) -> CompileSpeed {
+/// Table (§4.7): total scheduling time, heuristic vs ILP. Each loop's
+/// heuristic runs are timed right before MOST schedules that loop, so a
+/// slow phase of the host lands on both sides of the ratio alike.
+pub fn compile_speed(machine: &Machine) -> CompileSpeed {
     let loops: Vec<_> = spec_suites()
         .into_iter()
         .flat_map(|s| s.loops.into_iter().map(|l| l.body))
         .collect();
-    let heuristic = (0..HEURISTIC_PASSES)
-        .map(|_| {
-            let h0 = Instant::now();
-            for lp in &loops {
-                let _ = swp_heur::pipeline(lp, machine, &HeurOptions::default());
-            }
-            h0.elapsed()
-        })
-        .min()
-        .expect("at least one pass");
-    let most_opts = MostOptions {
-        fallback: false,
-        ..effort.most_options()
-    };
-    let i0 = Instant::now();
+    let most_opts = MostOptions::default().without_fallback();
+    let (mut heuristic, mut ilp) = (Duration::ZERO, Duration::ZERO);
     for lp in &loops {
+        heuristic += (0..HEURISTIC_PASSES)
+            .map(|_| {
+                let t0 = Instant::now();
+                let _ = swp_heur::pipeline(lp, machine, &HeurOptions::default());
+                t0.elapsed()
+            })
+            .min()
+            .expect("at least one run");
+        let t0 = Instant::now();
         let _ = swp_most::pipeline_most(lp, machine, &most_opts);
+        ilp += t0.elapsed();
     }
-    let ilp = i0.elapsed();
     CompileSpeed {
         heuristic,
         ilp,
@@ -396,18 +344,11 @@ pub struct LoopSize {
 }
 
 /// Sweep loop sizes; per-loop budget fixed (the paper's 3-minute analogue).
-pub fn loop_size(machine: &Machine, effort: Effort) -> LoopSize {
-    let sizes: &[usize] = match effort {
-        Effort::Quick => &[10, 20, 30, 45, 60, 80, 100, 116],
-        Effort::Full => &[10, 20, 30, 45, 61, 80, 100, 116, 130],
-    };
-    let most_opts = MostOptions {
-        fallback: false,
-        ..effort.most_options()
-    };
+pub fn loop_size(machine: &Machine) -> LoopSize {
+    let most_opts = MostOptions::default().without_fallback();
     let mut heuristic_max = 0;
     let mut most_max = 0;
-    for &ops in sizes {
+    for ops in [10, 20, 30, 45, 60, 80, 100, 116] {
         let lp = swp_kernels::random_loop(
             &GenParams {
                 ops,
@@ -451,9 +392,9 @@ pub struct IiCompare {
 /// cache; loops where MOST fell back to the heuristic are excluded from
 /// the comparison, which is equivalent to the fallback-disabled sweep (a
 /// fallback result carries the heuristic's II, not MOST's).
-pub fn ii_compare_with(driver: &Driver, machine: &Machine, effort: Effort) -> IiCompare {
+pub fn ii_compare_with(driver: &Driver, machine: &Machine) -> IiCompare {
     let heur = CompileOptions::from(SchedulerChoice::Heuristic);
-    let most = CompileOptions::from(SchedulerChoice::IlpWith(effort.most_options()));
+    let most = CompileOptions::from(SchedulerChoice::Ilp);
     let big = CompileOptions::from(SchedulerChoice::HeuristicWith(HeurOptions {
         // 16× the default backtrack budget.
         backtrack_budget: 6400,
@@ -529,10 +470,10 @@ impl AuditRow {
 /// SPEC-like suite × both schedulers, each loop compiled at
 /// [`VerifyLevel::Full`] so all four analyzers plus the IR lints run.
 /// Suite rows come back grouped by suite, heuristic before ILP.
-pub fn audit_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<AuditRow> {
+pub fn audit_with(driver: &Driver, machine: &Machine) -> Vec<AuditRow> {
     let schedulers: [(&'static str, SchedulerChoice); 2] = [
         ("heuristic", SchedulerChoice::Heuristic),
-        ("ilp", SchedulerChoice::IlpWith(effort.most_options())),
+        ("ilp", SchedulerChoice::Ilp),
     ];
     let suites = spec_suites();
     driver.run_indexed(suites.len() * schedulers.len(), |j| {
@@ -672,7 +613,7 @@ impl ChaosRow {
 /// `ChaosOptions` is part of the schedule-cache key, so chaotic compiles
 /// never pollute (or borrow from) quiet memoized results. Rows come
 /// back grouped by suite, in [`chaos_scenarios`] order.
-pub fn chaos_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<ChaosRow> {
+pub fn chaos_with(driver: &Driver, machine: &Machine) -> Vec<ChaosRow> {
     let scenarios = chaos_scenarios();
     let suites = spec_suites();
     driver.run_indexed(suites.len() * scenarios.len(), |j| {
@@ -680,8 +621,6 @@ pub fn chaos_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<Cha
         let scenario = &scenarios[j % scenarios.len()];
         let inner = driver.sequential_view();
         let opts = LadderOptions {
-            most: effort.most_options(),
-            sat: effort.sat_options(),
             chaos: scenario.chaos.clone(),
             ..LadderOptions::default()
         };
@@ -707,7 +646,7 @@ pub fn chaos_rung_usage(rows: &[ChaosRow]) -> [usize; 5] {
 
 /// One row of the `experiments portfolio` table: one suite (or the
 /// Livermore kernel set) raced loop-by-loop, with every backend also
-/// timed standalone under the same deterministic quick budgets.
+/// timed standalone under the same deterministic default budgets.
 #[derive(Debug, Clone)]
 pub struct PortfolioRow {
     /// Suite name (`livermore` is the kernel set).
@@ -742,9 +681,9 @@ pub struct PortfolioRow {
 }
 
 /// The `experiments portfolio` sweep: every SPEC-like figure suite plus
-/// the Livermore kernels, each loop compiled four ways under the quick
-/// deterministic budgets — each backend standalone (fallbacks off, so a
-/// backend's failure is its own), then the three-way race. Standalone
+/// the Livermore kernels, each loop compiled four ways under the
+/// deterministic default budgets — each backend standalone (fallbacks
+/// off, so a backend's failure is its own), then the three-way race. Standalone
 /// compiles run sequentially and uncached so the wall clocks mean
 /// something; the race's parallelism is internal to [`showdown::compile_portfolio`].
 pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
@@ -760,11 +699,7 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
         )
     }));
 
-    let race = SchedulerChoice::PortfolioWith(Box::new(showdown::PortfolioOptions {
-        most: Effort::Quick.most_options(),
-        sat: Effort::Quick.sat_options(),
-        ..showdown::PortfolioOptions::default()
-    }));
+    let race = SchedulerChoice::Portfolio;
 
     sweeps
         .into_iter()
@@ -793,11 +728,11 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
                         r
                     };
                 let ilp = timed(
-                    SchedulerChoice::IlpWith(Effort::Quick.most_options().without_fallback()),
+                    SchedulerChoice::IlpWith(MostOptions::default().without_fallback()),
                     |r| &mut r.ilp_wall,
                 );
                 let sat = timed(
-                    SchedulerChoice::SatWith(Effort::Quick.sat_options().without_fallback()),
+                    SchedulerChoice::SatWith(SatOptions::default().without_fallback()),
                     |r| &mut r.sat_wall,
                 );
                 let heur = timed(SchedulerChoice::Heuristic, |r| &mut r.heur_wall);
@@ -852,8 +787,8 @@ pub fn portfolio_wall_gate(rows: &[PortfolioRow]) -> bool {
 }
 
 /// One row of the `experiments solver` table: one Livermore kernel solved
-/// by MOST (no fallback) under the deterministic quick budgets, with the
-/// solver's work counters.
+/// by MOST (no fallback) under deterministic node and pivot budgets, with
+/// the solver's work counters.
 #[derive(Debug, Clone)]
 pub struct SolverRow {
     /// Kernel number (1-24).
@@ -878,7 +813,7 @@ pub struct SolverRow {
 }
 
 /// The `experiments solver` speed table: deterministic solver-work
-/// counters over the 24 Livermore kernels. Because the quick budgets are
+/// counters over the 24 Livermore kernels. Because the budgets are
 /// pure node/pivot counts (no wall clock), every field reproduces exactly
 /// on any machine — which is what lets `gates/solver.golden` pin them.
 #[derive(Debug, Clone)]
@@ -963,7 +898,7 @@ impl SolverSpeed {
 /// record node, pivot, refactorization and bound-flip work and the
 /// accepted schedule's buffer total, its proven floor and whether the
 /// buffer solve proved it minimal, per kernel. The budgets are deliberately
-/// tighter than [`Effort::Quick`]'s: a gate must be cheap enough to run
+/// tighter than the defaults: a gate must be cheap enough to run
 /// on every CI push, and a solver-efficiency regression shows up at any
 /// budget size.
 ///
@@ -979,8 +914,6 @@ pub fn solver_speed(machine: &Machine) -> SolverSpeed {
         fallback: false,
         node_limit: 2_000,
         pivot_limit: 20_000,
-        time_limit: None,
-        loop_time_limit: None,
         ..MostOptions::default()
     };
     let telemetry = Telemetry::new();
@@ -1055,12 +988,12 @@ impl OptRow {
 /// translation-validated by differential simulation — for the table's
 /// op-count/RecMII columns, and (b) compiled with the ILP scheduler at
 /// [`showdown::OptLevel::Off`] and `Full` for the achieved-II and
-/// simplex-pivot columns. Quick-effort budgets are deterministic, so
+/// simplex-pivot columns. The default budgets are deterministic, so
 /// every number here reproduces exactly — which is what lets
 /// `gates/opt.golden` pin them. One row per suite, figure suites first,
 /// then Livermore.
-pub fn opt_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<OptRow> {
-    let mut suites = scaled_suites(effort);
+pub fn opt_with(driver: &Driver, machine: &Machine) -> Vec<OptRow> {
+    let mut suites = scaled_suites();
     suites.push(Suite {
         name: "livermore",
         loops: livermore()
@@ -1103,10 +1036,10 @@ pub fn opt_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<OptRo
             .run(&mut optimized, machine);
         // (b) Scheduler impact through the shared driver cache.
         let inner = driver.sequential_view();
-        let choice = SchedulerChoice::IlpWith(effort.most_options());
+        let choice = SchedulerChoice::Ilp;
         let off = inner
             .compile_with(body, machine, &CompileOptions::from(choice.clone()))
-            .expect("every suite loop compiles at quick budgets");
+            .expect("every suite loop compiles at default budgets");
         let full_opts = CompileOptions {
             choice,
             verify: VerifyLevel::Full,
@@ -1115,7 +1048,7 @@ pub fn opt_with(driver: &Driver, machine: &Machine, effort: Effort) -> Vec<OptRo
         };
         let full = inner
             .compile_with(body, machine, &full_opts)
-            .expect("every optimized suite loop compiles at quick budgets");
+            .expect("every optimized suite loop compiles at default budgets");
         LoopImpact {
             suite: s,
             ops_before: outcome.ops_before,
@@ -1172,11 +1105,8 @@ pub struct OrderAblation {
 }
 
 /// Ablation: the effect of branch priority orders on MOST.
-pub fn ablation_order(machine: &Machine, effort: Effort) -> OrderAblation {
-    let base = MostOptions {
-        fallback: false,
-        ..effort.most_options()
-    };
+pub fn ablation_order(machine: &Machine) -> OrderAblation {
+    let base = MostOptions::default().without_fallback();
     let with = MostOptions {
         use_priority_orders: true,
         ..base.clone()
@@ -1314,7 +1244,7 @@ pub struct ProfileReport {
 /// job lint for dead metrics. The pieces:
 ///
 /// - the 24 Livermore kernels under both schedulers (heuristic at
-///   [`VerifyLevel::Full`] for audit counters, ILP at quick budgets for
+///   [`VerifyLevel::Full`] for audit counters, ILP at default budgets for
 ///   solver counters and buffer histograms), then a re-query of the
 ///   heuristic set for cache hits;
 /// - four degradation-ladder scenarios over small kernels: a quiet
@@ -1341,7 +1271,7 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
         telemetry: telemetry.clone(),
     };
     let ilp = CompileOptions {
-        choice: SchedulerChoice::IlpWith(Effort::Quick.most_options()),
+        choice: SchedulerChoice::Ilp,
         verify: VerifyLevel::Off,
         opt: OptLevel::Off,
         telemetry: telemetry.clone(),
@@ -1361,11 +1291,9 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
     // instantly so the corrupted heuristic schedule ships past the
     // disabled gate — the one configuration where an injected fault is
     // *supposed* to escape.
-    let quick_most = |max_ops: usize| MostOptions {
+    let small_most = |max_ops: usize| MostOptions {
         node_limit: 2_000,
         pivot_limit: 20_000,
-        time_limit: None,
-        loop_time_limit: None,
         loop_pivot_limit: Some(60_000),
         max_ops,
         ..MostOptions::default()
@@ -1375,10 +1303,10 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
     // heuristic schedule is what ships past the disabled gate.
     let ladder = |chaos: ChaosOptions, gate: VerifyLevel, max_ops: usize| CompileOptions {
         choice: SchedulerChoice::LadderWith(Box::new(LadderOptions {
-            most: quick_most(max_ops),
+            most: small_most(max_ops),
             sat: SatOptions {
                 max_ops,
-                ..Effort::Quick.sat_options()
+                ..SatOptions::default()
             },
             gate,
             chaos,
@@ -1438,7 +1366,7 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
     }
 
     // A 1-op ceiling turns every MOST compile into a heuristic fallback.
-    let _ = swp_most::pipeline_most(&kernels[0].body, machine, &quick_most(1));
+    let _ = swp_most::pipeline_most(&kernels[0].body, machine, &small_most(1));
     loops += 1;
 
     // The SAT backend over the Livermore kernels: II steps, decisions,
@@ -1446,7 +1374,7 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
     // conflicts (and learned clauses) through one solve to cross the
     // Luby restart threshold.
     let sat = CompileOptions {
-        choice: SchedulerChoice::SatWith(Effort::Quick.sat_options()),
+        choice: SchedulerChoice::Sat,
         verify: VerifyLevel::Off,
         opt: OptLevel::Off,
         telemetry: telemetry.clone(),
@@ -1465,7 +1393,7 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
         &SatOptions {
             conflict_limit: 0,
             propagation_limit: 0,
-            ..Effort::Quick.sat_options()
+            ..SatOptions::default()
         },
     );
     loops += 1;
@@ -1482,9 +1410,8 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
             use_heur: true,
             most: MostOptions {
                 max_ops: most_max_ops,
-                ..Effort::Quick.most_options()
+                ..MostOptions::default()
             },
-            sat: Effort::Quick.sat_options(),
             ..showdown::PortfolioOptions::default()
         })),
         verify: VerifyLevel::Off,
@@ -1636,7 +1563,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "integration-scale; run with --release")]
     fn fig2_shape_pipelining_wins_big() {
         let m = Machine::r8000();
-        let rows = fig2_with(&Driver::uncached(1), &m, Effort::Quick);
+        let rows = fig2_with(&Driver::uncached(1), &m);
         assert_eq!(rows.len(), 14);
         let g = fig2_geomean(&rows);
         // Paper: >35% overall improvement. Shape check: well above 1.3.
@@ -1655,7 +1582,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "integration-scale; run with --release")]
     fn fig4_shape_alvinn_benefits_most() {
         let m = Machine::r8000();
-        let rows = fig4_with(&Driver::uncached(1), &m, Effort::Quick);
+        let rows = fig4_with(&Driver::uncached(1), &m);
         let alvinn = rows.iter().find(|r| r.name == "alvinn").expect("present");
         assert!(
             alvinn.improvement > 1.05,
@@ -1716,7 +1643,7 @@ mod tests {
         showdown::hush_injected_panics();
         let m = Machine::r8000();
         let driver = Driver::new(4);
-        let rows = chaos_with(&driver, &m, Effort::Quick);
+        let rows = chaos_with(&driver, &m);
         assert_eq!(rows.len(), 14 * chaos_scenarios().len());
         for r in &rows {
             assert_eq!(r.escapes(), 0, "{}/{}", r.suite.name, r.scenario);

@@ -637,8 +637,6 @@ mod tests {
         let choice = SchedulerChoice::IlpWith(MostOptions {
             node_limit: 1,
             pivot_limit: 10,
-            time_limit: None,
-            loop_time_limit: None,
             fallback: true,
             ..MostOptions::default()
         });

@@ -14,7 +14,6 @@
 //! that escapes its rung.
 
 use crate::compile::{CompileError, CompiledLoop};
-use crate::portfolio::PortfolioOptions;
 use crate::stage::{self, Backend, Mode};
 use swp_codegen::{CodeSection, PipelinedLoop};
 use swp_heur::HeurOptions;
@@ -208,62 +207,6 @@ impl LadderOptions {
             }
         }
         opts
-    }
-}
-
-/// Deterministic quick-effort MOST budgets: the compile service's rung-0
-/// configuration and the figures' quick effort. No wall-clock limit
-/// appears here — a served result must be reproducible on any host, or
-/// the service's disk store could never return it. Per-request deadlines
-/// are layered on top (and those results are then transient by the
-/// cache's own rules).
-pub fn quick_most_options() -> MostOptions {
-    MostOptions {
-        node_limit: 20_000,
-        pivot_limit: 400_000,
-        time_limit: None,
-        loop_time_limit: None,
-        // The deterministic ladder cap: ~3 full solves' worth of pivots
-        // across all IIs tried for one loop, so a loop whose schedules
-        // keep failing allocation cannot grind through every II to MaxII
-        // at full budget.
-        loop_pivot_limit: Some(1_200_000),
-        max_ops: 64,
-        ..MostOptions::default()
-    }
-}
-
-/// Deterministic quick-effort SAT budgets, mirroring
-/// [`quick_most_options`]: conflict/propagation caps only, no wall
-/// clocks, so a SAT schedule replays bit-identically anywhere.
-pub fn quick_sat_options() -> SatOptions {
-    SatOptions {
-        conflict_limit: 20_000,
-        propagation_limit: 2_000_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_conflict_limit: Some(60_000),
-        max_ops: 64,
-        ..SatOptions::default()
-    }
-}
-
-/// The deterministic ladder: quick budgets on both optimal rungs.
-pub fn quick_ladder_options() -> LadderOptions {
-    LadderOptions {
-        most: quick_most_options(),
-        sat: quick_sat_options(),
-        ..LadderOptions::default()
-    }
-}
-
-/// The deterministic portfolio: every backend on quick budgets, so the
-/// fixed-priority race outcome is host-independent.
-pub fn quick_portfolio_options() -> PortfolioOptions {
-    PortfolioOptions {
-        most: quick_most_options(),
-        sat: quick_sat_options(),
-        ..PortfolioOptions::default()
     }
 }
 
@@ -478,7 +421,7 @@ mod tests {
     #[test]
     fn quiet_ladder_ships_rung_0_with_a_clean_gate() {
         let m = Machine::r8000();
-        let c = compile_ladder(&saxpy(), &m, &quick_ladder_options()).expect("total");
+        let c = compile_ladder(&saxpy(), &m, &LadderOptions::default()).expect("total");
         assert_eq!(c.rung, Some(Rung::Ilp));
         assert_eq!(c.attempts.len(), 1);
         assert_eq!(c.attempts[0].outcome, RungOutcome::Accepted);
@@ -488,7 +431,7 @@ mod tests {
         let plain = compile_loop(
             &saxpy(),
             &m,
-            &SchedulerChoice::IlpWith(quick_most_options().without_fallback()),
+            &SchedulerChoice::IlpWith(MostOptions::default().without_fallback()),
         )
         .expect("ilp");
         assert_eq!(c.stats.ii, plain.stats.ii);
@@ -501,7 +444,7 @@ mod tests {
         let m = Machine::r8000();
         let opts = LadderOptions {
             chaos: ChaosOptions::default().with_fault(Rung::Ilp, ChaosFault::Panic),
-            ..quick_ladder_options()
+            ..LadderOptions::default()
         };
         let c = compile_ladder(&saxpy(), &m, &opts).expect("total");
         assert_eq!(c.rung, Some(Rung::Sat));
@@ -528,7 +471,7 @@ mod tests {
                     .with_fault(Rung::Sat, fault)
                     .with_fault(Rung::Heuristic, fault)
                     .with_fault(Rung::Escalated, fault),
-                ..quick_ladder_options()
+                ..LadderOptions::default()
             };
             let c = compile_ladder(&saxpy(), &m, &opts).expect("rung 4 is total");
             assert_eq!(c.rung, Some(Rung::Sequential), "{fault:?}");
@@ -560,13 +503,13 @@ mod tests {
             most: MostOptions {
                 // Push rungs 0 and 1 out of the way deterministically.
                 max_ops: 0,
-                ..quick_most_options()
+                ..MostOptions::default()
             },
             sat: SatOptions {
                 max_ops: 0,
-                ..quick_sat_options()
+                ..SatOptions::default()
             },
-            ..quick_ladder_options()
+            ..LadderOptions::default()
         };
         let c = compile_ladder(&saxpy(), &m, &opts).expect("total");
         assert!(matches!(
@@ -589,13 +532,13 @@ mod tests {
             ),
             most: MostOptions {
                 max_ops: 0,
-                ..quick_most_options()
+                ..MostOptions::default()
             },
             sat: SatOptions {
                 max_ops: 0,
-                ..quick_sat_options()
+                ..SatOptions::default()
             },
-            ..quick_ladder_options()
+            ..LadderOptions::default()
         };
         let c = compile_ladder(&saxpy(), &m, &opts).expect("compiles");
         assert_eq!(c.rung, Some(Rung::Heuristic));
@@ -610,7 +553,7 @@ mod tests {
         let m = Machine::r8000();
         let empty = LoopBuilder::new("empty").finish();
         let e =
-            compile_ladder(&empty, &m, &quick_ladder_options()).expect_err("nothing to schedule");
+            compile_ladder(&empty, &m, &LadderOptions::default()).expect_err("nothing to schedule");
         match e {
             CompileError::LadderExhausted { attempts } => {
                 assert!(!attempts.is_empty());

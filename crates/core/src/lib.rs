@@ -71,9 +71,8 @@ pub use compile::{
     CompiledLoop, SchedulerChoice,
 };
 pub use ladder::{
-    compile_ladder, hush_injected_panics, quick_ladder_options, quick_most_options,
-    quick_portfolio_options, quick_sat_options, render_attempts, ChaosFault, ChaosOptions,
-    Corruption, LadderOptions, Rung, RungAttempt, RungOutcome,
+    compile_ladder, hush_injected_panics, render_attempts, ChaosFault, ChaosOptions, Corruption,
+    LadderOptions, Rung, RungAttempt, RungOutcome,
 };
 pub use par::{Driver, JobPanic};
 pub use portfolio::{compile_portfolio, PortfolioOptions};

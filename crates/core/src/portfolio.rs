@@ -84,7 +84,6 @@ pub fn compile_portfolio(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ladder::{quick_most_options, quick_portfolio_options};
     use swp_ir::LoopBuilder;
 
     fn saxpy() -> Loop {
@@ -102,7 +101,7 @@ mod tests {
     #[test]
     fn ilp_outranks_everyone_when_it_succeeds() {
         let m = Machine::r8000();
-        let c = compile_portfolio(&saxpy(), &m, &quick_portfolio_options()).expect("races");
+        let c = compile_portfolio(&saxpy(), &m, &PortfolioOptions::default()).expect("races");
         assert_eq!(c.rung, Some(Rung::Ilp));
         assert!(c.stats.optimal);
     }
@@ -115,9 +114,9 @@ mod tests {
         let opts = PortfolioOptions {
             most: MostOptions {
                 max_ops: 0,
-                ..quick_most_options()
+                ..MostOptions::default()
             },
-            ..quick_portfolio_options()
+            ..PortfolioOptions::default()
         };
         for _ in 0..3 {
             let c = compile_portfolio(&saxpy(), &m, &opts).expect("races");
@@ -131,7 +130,7 @@ mod tests {
         let opts = PortfolioOptions {
             use_ilp: false,
             use_sat: false,
-            ..quick_portfolio_options()
+            ..PortfolioOptions::default()
         };
         let c = compile_portfolio(&saxpy(), &m, &opts).expect("races");
         assert_eq!(c.rung, Some(Rung::Heuristic));
@@ -144,7 +143,7 @@ mod tests {
             use_ilp: false,
             use_sat: false,
             use_heur: false,
-            ..quick_portfolio_options()
+            ..PortfolioOptions::default()
         };
         assert!(matches!(
             compile_portfolio(&saxpy(), &m, &opts),
@@ -156,7 +155,7 @@ mod tests {
     fn all_fail_returns_the_top_priority_error() {
         let m = Machine::r8000();
         let empty = LoopBuilder::new("empty").finish();
-        let e = compile_portfolio(&empty, &m, &quick_portfolio_options())
+        let e = compile_portfolio(&empty, &m, &PortfolioOptions::default())
             .expect_err("nothing schedules");
         assert!(matches!(e, CompileError::Ilp(_)), "got {e:?}");
     }

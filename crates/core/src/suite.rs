@@ -359,19 +359,7 @@ mod tests {
             .find(|s| s.name == "alvinn")
             .expect("alvinn exists");
         let driver = Driver::new(2);
-        let opts = crate::LadderOptions {
-            most: swp_most::MostOptions {
-                node_limit: 20_000,
-                pivot_limit: 400_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_pivot_limit: Some(1_200_000),
-                max_ops: 64,
-                ..swp_most::MostOptions::default()
-            },
-            ..crate::LadderOptions::default()
-        };
-        let report = ladder_suite_with(&driver, &suite, &m, &opts);
+        let report = ladder_suite_with(&driver, &suite, &m, &crate::LadderOptions::default());
         assert_eq!(report.loops.len(), suite.loops.len());
         assert_eq!(report.quarantined(), 0, "nothing to quarantine");
         assert_eq!(report.escapes(), 0, "no chaos, no escapes");

@@ -141,6 +141,20 @@ impl std::fmt::Display for SearchError {
 
 impl std::error::Error for SearchError {}
 
+/// The last pipeline stage the optimal backends search at `ii`:
+/// `⌊Σ latency / II⌋ + 2`, enough for any schedule worth having. MOST
+/// bounds its stage variables by it and SAT sizes its time windows from
+/// it, so the two search the same horizon and their per-II verdicts
+/// coincide.
+pub fn max_stage(lp: &Loop, machine: &Machine, ii: u32) -> i64 {
+    let total_latency: i64 = lp
+        .ops()
+        .iter()
+        .map(|o| i64::from(machine.latency(o.class)))
+        .sum();
+    total_latency / i64::from(ii) + 2
+}
+
 /// One backend's names and limits for [`IiSearch::run`].
 pub struct IiSearch<'a> {
     /// The backend's name in errors ("MOST", "SAT").

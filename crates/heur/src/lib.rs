@@ -50,7 +50,9 @@ pub mod priority;
 mod restable;
 mod search;
 
-pub use iisearch::{Buffers, IiOutcome, IiSearch, OptimalPipelined, SearchError, SearchStats};
+pub use iisearch::{
+    max_stage, Buffers, IiOutcome, IiSearch, OptimalPipelined, SearchError, SearchStats,
+};
 pub use modsched::{schedule_at, AttemptStats};
 pub use priority::{priority_list, PriorityHeuristic};
 pub use restable::{identical_resources, ResTable};

@@ -23,8 +23,8 @@ pub struct SolveOptions {
     /// on any host).
     pub pivot_limit: u64,
     /// Optional wall-clock budget. The paper used 3 minutes per solve
-    /// (§3.3); experiments may set this, tests and quick budgets rely on
-    /// `node_limit`/`pivot_limit` instead.
+    /// (§3.3); a caller may set this for a deadline, while MOST's and
+    /// SAT's default budgets rely on `node_limit`/`pivot_limit` instead.
     pub time_limit: Option<Duration>,
     /// Branch variable priority: the first *fractional* variable in this
     /// order is branched on. §3.3(3) of the paper found this ordering to be

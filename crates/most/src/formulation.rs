@@ -34,17 +34,6 @@ pub enum Objective {
     MinBuffers,
 }
 
-/// Upper bound on pipeline stages: enough for any schedule worth having.
-fn stage_bound(lp: &Loop, ddg: &Ddg, machine: &Machine, ii: u32) -> f64 {
-    let total_latency: i64 = lp
-        .ops()
-        .iter()
-        .map(|o| i64::from(machine.latency(o.class)))
-        .sum();
-    let _ = ddg;
-    ((total_latency / i64::from(ii)) + 2) as f64
-}
-
 /// Build the modulo-scheduling ILP at a fixed II.
 ///
 /// Variables: binary `a[i][t]` with `Σ_t a[i][t] = 1`; integer stages
@@ -84,7 +73,7 @@ pub fn build_model(
         model.add_eq(vars.iter().map(|&v| (v, 1.0)), 1.0);
     }
     // Stage bound.
-    let kmax = stage_bound(lp, ddg, machine, ii);
+    let kmax = swp_heur::max_stage(lp, machine, ii) as f64;
     for &k in &stage_vars {
         model.add_le([(k, 1.0)], kmax);
     }

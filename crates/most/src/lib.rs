@@ -52,7 +52,10 @@ use swp_ir::{Ddg, Loop, OpId, Schedule};
 use swp_machine::Machine;
 use swp_obs::Counter;
 
-/// Controls for the MOST pipeliner.
+/// Controls for the MOST pipeliner. The defaults are deterministic: node
+/// and pivot budgets only, no wall clock, so a default compile gives the
+/// same result on any host at any load — which the schedule cache and the
+/// compile service's disk store rely on to memoize it.
 #[derive(Debug, Clone)]
 pub struct MostOptions {
     /// Minimize buffers after establishing feasibility (§3.3 adj. 2);
@@ -66,7 +69,10 @@ pub struct MostOptions {
     /// much finer grain: a single pathological node LP cannot eat the
     /// whole budget unnoticed.
     pub pivot_limit: u64,
-    /// Wall-clock budget per ILP solve. The study used 3 minutes (§3.3).
+    /// Wall-clock budget per ILP solve; `None` by default. The field
+    /// exists for the paper's regime, a 3-minute limit per search (§3.3).
+    /// A result truncated by it carries `deadline_hit` and is never
+    /// memoized.
     pub time_limit: Option<Duration>,
     /// Drive branching with the SGI priority orders (§3.3 adj. 3).
     pub use_priority_orders: bool,
@@ -74,8 +80,10 @@ pub struct MostOptions {
     pub max_ii_factor: u32,
     /// Fall back to the heuristic pipeliner when MOST fails (§4.4).
     pub fallback: bool,
-    /// Overall wall-clock budget for the whole II search on one loop (the
-    /// paper's three-minute regime was per search; this caps the loop).
+    /// Overall wall-clock budget for the whole II search on one loop;
+    /// `None` by default (the paper's three-minute regime was per search;
+    /// this caps the loop). Callers set it for a deadline, as the compile
+    /// service does for a request's `deadline_ms`.
     pub loop_time_limit: Option<Duration>,
     /// Deterministic analogue of [`loop_time_limit`](Self::loop_time_limit):
     /// total simplex pivots across the whole II ladder. Once the ladder
@@ -83,8 +91,8 @@ pub struct MostOptions {
     /// in flight still completes, so the overshoot is at most one
     /// `pivot_limit`). Without it, a loop whose schedules keep failing
     /// register allocation retries every II up to MaxII at full budget —
-    /// and the only way to bound that was wall clock, which quick budgets
-    /// must not depend on.
+    /// and the only way to bound that was wall clock, which the
+    /// deterministic defaults must not depend on.
     pub loop_pivot_limit: Option<u64>,
     /// Loops larger than this are not attempted by the ILP at all — §5.0
     /// reports MOST's practical ceiling at 61 operations; beyond it the
@@ -101,15 +109,19 @@ impl Default for MostOptions {
     fn default() -> MostOptions {
         MostOptions {
             minimize_buffers: true,
-            node_limit: 200_000,
-            pivot_limit: 10_000_000,
-            time_limit: Some(Duration::from_secs(180)),
+            node_limit: 20_000,
+            pivot_limit: 400_000,
+            time_limit: None,
             use_priority_orders: true,
             max_ii_factor: 2,
             fallback: true,
-            loop_time_limit: Some(Duration::from_secs(180)),
-            loop_pivot_limit: None,
-            max_ops: 80,
+            loop_time_limit: None,
+            // About three full solves' worth of pivots across all IIs
+            // tried for one loop, so a loop whose schedules keep failing
+            // allocation cannot grind through every II to MaxII at full
+            // budget.
+            loop_pivot_limit: Some(1_200_000),
+            max_ops: 64,
             cancel: swp_obs::CancelToken::never(),
         }
     }
@@ -347,7 +359,6 @@ mod tests {
         let opts = MostOptions {
             node_limit: 1,
             fallback: false,
-            time_limit: None,
             ..MostOptions::default()
         };
         // With a 1-node budget per solve the search is truncated; the
@@ -367,7 +378,6 @@ mod tests {
         let m = Machine::r8000();
         let opts = MostOptions {
             node_limit: 1,
-            time_limit: None,
             ..MostOptions::default()
         };
         let r = pipeline_most(&saxpy(), &m, &opts).expect("fallback rescues");
@@ -383,8 +393,6 @@ mod tests {
         let m = Machine::r8000();
         let opts = MostOptions {
             pivot_limit: 40,
-            time_limit: None,
-            loop_time_limit: None,
             fallback: false,
             ..MostOptions::default()
         };

@@ -3,7 +3,8 @@
 //! The encoding is the direct one: a boolean `x[i][t]` per operation `i`
 //! and candidate issue time `t`, over exactly MOST's search box — times in
 //! `[0, II·(kmax+1))` with `kmax = ⌊Σ latency / II⌋ + 2`, the ILP's stage
-//! bound. Using the *same* horizon matters: it makes a per-II SAT/UNSAT
+//! bound ([`swp_heur::max_stage`], one function for both backends). Using
+//! the *same* horizon matters: it makes a per-II SAT/UNSAT
 //! verdict here coincide with ILP feasible/infeasible there, which is what
 //! the differential tests (same achieved II on mutually solved loops)
 //! lean on.
@@ -84,12 +85,7 @@ pub(crate) fn build(lp: &Loop, ddg: &Ddg, machine: &Machine, ii: u32) -> Option<
     let iiw = i64::from(ii);
 
     // MOST's horizon: stages 0..=kmax, rows 0..ii ⇒ times 0..h.
-    let total_latency: i64 = lp
-        .ops()
-        .iter()
-        .map(|o| i64::from(machine.latency(o.class)))
-        .sum();
-    let kmax = total_latency / iiw + 2;
+    let kmax = swp_heur::max_stage(lp, machine, ii);
     let h = iiw * (kmax + 1);
 
     // Positive cycle ⇒ II < RecMII ⇒ infeasible, proven.

@@ -54,7 +54,9 @@ use swp_ir::{Ddg, Loop, Schedule};
 use swp_machine::Machine;
 use swp_obs::{CancelToken, Counter};
 
-/// Controls for the SAT pipeliner.
+/// Controls for the SAT pipeliner. Like MOST's, the defaults are
+/// deterministic: conflict and propagation budgets only, no wall clock,
+/// so a default SAT schedule replays bit-identically anywhere.
 #[derive(Debug, Clone)]
 pub struct SatOptions {
     /// Conflict budget per II solve (deterministic; tests rely on this).
@@ -63,14 +65,16 @@ pub struct SatOptions {
     /// propagate enormously without conflicting, so the conflict budget
     /// alone does not bound work.
     pub propagation_limit: u64,
-    /// Wall-clock budget per II solve, mirroring MOST's 3-minute regime.
+    /// Wall-clock budget per II solve; `None` by default. It mirrors
+    /// MOST's field for the paper's 3-minute regime (§3.3).
     pub time_limit: Option<Duration>,
     /// `MaxII = max_ii_factor × MinII`, as for the other pipeliners.
     pub max_ii_factor: u32,
     /// Fall back to the heuristic pipeliner when SAT fails (§4.4's
     /// arrangement, transplanted).
     pub fallback: bool,
-    /// Overall wall-clock budget for the whole II ladder on one loop.
+    /// Overall wall-clock budget for the whole II ladder on one loop;
+    /// `None` by default.
     pub loop_time_limit: Option<Duration>,
     /// Deterministic analogue of [`loop_time_limit`](Self::loop_time_limit):
     /// total conflicts across the whole II ladder. Once spent, no further
@@ -90,14 +94,14 @@ pub struct SatOptions {
 impl Default for SatOptions {
     fn default() -> SatOptions {
         SatOptions {
-            conflict_limit: 200_000,
-            propagation_limit: 100_000_000,
-            time_limit: Some(Duration::from_secs(180)),
+            conflict_limit: 20_000,
+            propagation_limit: 2_000_000,
+            time_limit: None,
             max_ii_factor: 2,
             fallback: true,
-            loop_time_limit: Some(Duration::from_secs(180)),
-            loop_conflict_limit: None,
-            max_ops: 80,
+            loop_time_limit: None,
+            loop_conflict_limit: Some(60_000),
+            max_ops: 64,
             cancel: CancelToken::never(),
         }
     }
@@ -272,11 +276,7 @@ mod tests {
         let min_ii = ddg.min_ii();
         assert!(min_ii > 1);
         let mut stats = SatStats::default();
-        let opts = SatOptions {
-            time_limit: None,
-            loop_time_limit: None,
-            ..SatOptions::default()
-        };
+        let opts = SatOptions::default();
         let out = solve_at_ii(&lp, &ddg, &m, min_ii - 1, &opts, None, &mut stats);
         assert!(matches!(out, IiOutcome::Infeasible));
     }
@@ -289,8 +289,6 @@ mod tests {
         let opts = SatOptions {
             conflict_limit: 3,
             propagation_limit: 500,
-            time_limit: None,
-            loop_time_limit: None,
             fallback: false,
             ..SatOptions::default()
         };
@@ -340,7 +338,6 @@ mod tests {
         let opts = SatOptions {
             conflict_limit: 0,
             propagation_limit: 0,
-            time_limit: None,
             ..SatOptions::default()
         };
         let r = pipeline_sat(&saxpy(), &m, &opts).expect("fallback rescues");

@@ -36,7 +36,6 @@ pub use proto::{
     ProtoError, RequestBatch, ResponseBatch, WireChoice, MAGIC, MAX_FRAME, VERSION,
 };
 pub use server::{
-    code_fingerprint, quick_ladder_options, quick_most_options, quick_sat_options, ServeStats,
-    Server, ServerHandle, ServerOptions,
+    code_fingerprint, quick_ladder_options, ServeStats, Server, ServerHandle, ServerOptions,
 };
 pub use store::{write_atomic, DiskStore, Lookup, StoreStats};

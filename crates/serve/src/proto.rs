@@ -120,9 +120,9 @@ pub enum WireChoice {
     Ladder,
     /// The heuristic pipeliner only.
     Heuristic,
-    /// The ILP scheduler with quick budgets (demotable under load).
+    /// The ILP scheduler with default budgets (demotable under load).
     Ilp,
-    /// The CDCL SAT scheduler with quick budgets (demotable under load).
+    /// The CDCL SAT scheduler with default budgets (demotable under load).
     Sat,
     /// Race ILP, SAT, and the heuristic; fixed-priority winner. The
     /// race outcome is deterministic, so results are cacheable.

@@ -37,8 +37,8 @@ use showdown::codec::{Fnv1a, Sink};
 use showdown::swp_most::MostOptions;
 use showdown::swp_sat::SatOptions;
 use showdown::{
-    cache_key_with, CacheStats, CompileOptions, CompiledLoop, ScheduleCache, SchedulerChoice,
-    Telemetry,
+    cache_key_with, CacheStats, CompileOptions, CompiledLoop, LadderOptions, PortfolioOptions,
+    ScheduleCache, SchedulerChoice, Telemetry,
 };
 use swp_ir::Loop;
 use swp_machine::{Machine, RegClass};
@@ -49,10 +49,19 @@ use crate::proto::{
 };
 use crate::store::{DiskStore, Lookup, StoreStats};
 
-/// The service's deterministic quick budgets (its rung-0 configuration).
-pub use showdown::{
-    quick_ladder_options, quick_most_options, quick_portfolio_options, quick_sat_options,
-};
+/// The ladder the service compiles with: [`LadderOptions::default`].
+/// Kept only for the benchmark harness, which names it; deleted once the
+/// harness reads the path's own self-times (ROADMAP item 1).
+pub fn quick_ladder_options() -> LadderOptions {
+    LadderOptions::default()
+}
+
+/// The SAT budgets the service compiles with: [`SatOptions::default`].
+/// Kept only for the benchmark harness, which names it; deleted once the
+/// harness reads the path's own self-times (ROADMAP item 1).
+pub fn quick_sat_options() -> SatOptions {
+    SatOptions::default()
+}
 
 /// Server configuration.
 pub struct ServerOptions {
@@ -303,12 +312,12 @@ fn demote_sat(sat: &mut SatOptions) {
 
 /// The compile a request asks for, at the admitted demotion level. A
 /// request deadline bounds every optimal backend the choice runs; the
-/// quick budgets carry no wall limit of their own.
+/// default budgets carry no wall limit of their own.
 fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
     let deadline = (req.deadline_ms > 0).then(|| Duration::from_millis(u64::from(req.deadline_ms)));
     match req.choice {
         WireChoice::Ladder => {
-            let mut opts = quick_ladder_options().demoted(demotion);
+            let mut opts = LadderOptions::default().demoted(demotion);
             opts.most.loop_time_limit = deadline;
             opts.sat.loop_time_limit = deadline;
             SchedulerChoice::LadderWith(Box::new(opts))
@@ -316,7 +325,7 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
         WireChoice::Heuristic => SchedulerChoice::Heuristic,
         _ if demotion >= 2 => SchedulerChoice::Heuristic,
         WireChoice::Ilp => {
-            let mut most = quick_most_options();
+            let mut most = MostOptions::default();
             if demotion == 1 {
                 demote_most(&mut most);
             }
@@ -324,7 +333,7 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
             SchedulerChoice::IlpWith(most)
         }
         WireChoice::Sat => {
-            let mut sat = quick_sat_options();
+            let mut sat = SatOptions::default();
             if demotion == 1 {
                 demote_sat(&mut sat);
             }
@@ -332,7 +341,7 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
             SchedulerChoice::SatWith(sat)
         }
         WireChoice::Portfolio => {
-            let mut opts = quick_portfolio_options();
+            let mut opts = PortfolioOptions::default();
             if demotion == 1 {
                 // Shed the optimal racers' effort, keep the heuristic
                 // at full strength: the race still ships something.
@@ -490,6 +499,32 @@ mod tests {
         let five = Some(Duration::from_millis(5));
         assert_eq!(opts.most.loop_time_limit, five);
         assert_eq!(opts.sat.loop_time_limit, five);
+    }
+
+    #[test]
+    fn the_benchmark_shims_key_like_the_defaults() {
+        let mut b = swp_ir::LoopBuilder::new("scale");
+        let a = b.invariant_f("a");
+        let x = b.array("x", 8);
+        let v = b.load(x, 0, 8);
+        let w = b.fmul(a, v);
+        b.store(x, 0, 8, w);
+        let lp = b.finish();
+        let m = Machine::r8000();
+        let key = |choice: SchedulerChoice| cache_key_with(&lp, &m, &choice.into());
+        let ladder = key(SchedulerChoice::LadderWith(
+            Box::new(quick_ladder_options()),
+        ));
+        let sat = key(SchedulerChoice::SatWith(quick_sat_options()));
+        assert_eq!(ladder, key(SchedulerChoice::LadderWith(Box::default())));
+        assert_eq!(sat, key(SchedulerChoice::SatWith(SatOptions::default())));
+        // And like what the service itself compiles for an undemoted,
+        // deadline-free request.
+        assert_eq!(
+            ladder,
+            key(scheduler_for(&request(WireChoice::Ladder, 0), 0))
+        );
+        assert_eq!(sat, key(scheduler_for(&request(WireChoice::Sat, 0), 0)));
     }
 
     #[test]

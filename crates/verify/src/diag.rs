@@ -1,5 +1,5 @@
 //! The structured diagnostics engine: findings, severities, reports, and
-//! the human/JSON renderers every analyzer feeds into.
+//! the human renderer every analyzer feeds into.
 
 use swp_ir::{OpId, ScheduleError};
 
@@ -185,49 +185,6 @@ impl VerifyReport {
         }
         out
     }
-
-    /// The report as a JSON object (hand-rolled; no serde in this tree).
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"level\":\"");
-        out.push_str(self.level.name());
-        out.push_str("\",\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"code\":\"");
-            out.push_str(f.code);
-            out.push_str("\",\"severity\":\"");
-            out.push_str(f.severity.name());
-            out.push_str("\",\"message\":\"");
-            json_escape(&f.message, &mut out);
-            out.push('"');
-            if let Some(op) = f.op {
-                out.push_str(&format!(",\"op\":{}", op.0));
-            }
-            if let Some(c) = f.cycle {
-                out.push_str(&format!(",\"cycle\":{c}"));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn json_escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -265,20 +222,5 @@ mod tests {
         let text = r.render_human();
         let first = text.lines().next().expect("nonempty");
         assert!(first.starts_with("error[SWP-V202]"), "{first}");
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_anchors() {
-        let r = VerifyReport {
-            level: VerifyLevel::Schedule,
-            findings: vec![Finding::error("SWP-V103", "a \"quoted\" message")
-                .at_op(OpId(7))
-                .at_cycle(-2)],
-        };
-        let json = r.render_json();
-        assert!(json.contains("\"level\":\"schedule\""));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"op\":7"));
-        assert!(json.contains("\"cycle\":-2"));
     }
 }

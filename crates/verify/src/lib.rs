@@ -172,12 +172,8 @@ mod tests {
         b.close(s, acc, 1);
         b.store(y, 800_000, 8, acc);
         let lp = b.finish();
-        let opts = swp_most::MostOptions {
-            time_limit: None,
-            loop_time_limit: None,
-            ..swp_most::MostOptions::default()
-        };
-        let p = swp_most::pipeline_most(&lp, &m, &opts).expect("pipelines");
+        let p =
+            swp_most::pipeline_most(&lp, &m, &swp_most::MostOptions::default()).expect("pipelines");
         let code = PipelinedLoop::expand(&p.body, &p.schedule, &p.allocation);
         let report = audit(&code, &m, VerifyLevel::Full);
         assert!(report.is_clean(), "{}", report.render_human());

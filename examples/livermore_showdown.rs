@@ -7,17 +7,10 @@
 //! ```
 
 use showdown::{compare_with, Driver, SchedulerChoice};
-use std::time::Duration;
 use swp_machine::Machine;
-use swp_most::MostOptions;
 
 fn main() {
     let machine = Machine::r8000();
-    let most = SchedulerChoice::IlpWith(MostOptions {
-        node_limit: 50_000,
-        time_limit: Some(Duration::from_secs(5)),
-        ..MostOptions::default()
-    });
 
     println!(
         "{:<4} {:<28} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8}",
@@ -31,7 +24,7 @@ fn main() {
             &k.body,
             &machine,
             &SchedulerChoice::Heuristic,
-            &most,
+            &SchedulerChoice::Ilp,
             k.short_trip,
             k.long_trip,
         )

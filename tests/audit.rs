@@ -45,7 +45,6 @@ fn ilp_choice() -> SchedulerChoice {
     SchedulerChoice::IlpWith(swp_most::MostOptions {
         node_limit: 5_000,
         time_limit: Some(std::time::Duration::from_millis(500)),
-        loop_time_limit: None,
         ..swp_most::MostOptions::default()
     })
 }
@@ -186,8 +185,6 @@ fn warm_path_most_schedule_audits_clean() {
     let choice = SchedulerChoice::IlpWith(swp_most::MostOptions {
         node_limit: 2_000,
         pivot_limit: 20_000,
-        time_limit: None,
-        loop_time_limit: None,
         fallback: false,
         ..swp_most::MostOptions::default()
     });

@@ -24,8 +24,6 @@ fn quick_ladder() -> LadderOptions {
         most: MostOptions {
             node_limit: 2_000,
             pivot_limit: 20_000,
-            time_limit: None,
-            loop_time_limit: None,
             loop_pivot_limit: Some(60_000),
             max_ops: 12,
             ..MostOptions::default()
@@ -33,8 +31,6 @@ fn quick_ladder() -> LadderOptions {
         sat: SatOptions {
             conflict_limit: 2_000,
             propagation_limit: 200_000,
-            time_limit: None,
-            loop_time_limit: None,
             loop_conflict_limit: Some(6_000),
             max_ops: 12,
             ..SatOptions::default()

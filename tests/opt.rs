@@ -99,8 +99,6 @@ proptest! {
         }
         let ilp = SchedulerChoice::IlpWith(swp_most::MostOptions {
             node_limit: 5_000,
-            time_limit: None,
-            loop_time_limit: None,
             ..swp_most::MostOptions::default()
         });
         for choice in [SchedulerChoice::Heuristic, ilp] {

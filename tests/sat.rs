@@ -23,8 +23,6 @@ use swp_verify::audit;
 
 fn quick_sat() -> SatOptions {
     SatOptions {
-        conflict_limit: 20_000,
-        propagation_limit: 2_000_000,
         time_limit: Some(Duration::from_secs(2)),
         loop_time_limit: Some(Duration::from_secs(6)),
         fallback: false,
@@ -33,7 +31,7 @@ fn quick_sat() -> SatOptions {
 }
 
 fn quick_most() -> swp_most::MostOptions {
-    showdown::quick_most_options().without_fallback()
+    swp_most::MostOptions::default().without_fallback()
 }
 
 #[test]
@@ -151,18 +149,10 @@ fn params_strategy() -> impl Strategy<Value = (GenParams, u64)> {
         })
 }
 
-// Deterministic work-counted budgets: no wall clocks, so the proptests
-// below reproduce exactly on any host (and minimize cleanly).
+// The default budgets are work counts with no wall clock, so the
+// proptests below reproduce exactly on any host (and minimize cleanly).
 fn counted_sat() -> SatOptions {
-    SatOptions {
-        conflict_limit: 20_000,
-        propagation_limit: 2_000_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_conflict_limit: Some(60_000),
-        fallback: false,
-        ..SatOptions::default()
-    }
+    SatOptions::default().without_fallback()
 }
 
 // Debug builds grind MOST's counted pivot budgets an order of magnitude
@@ -245,28 +235,18 @@ proptest! {
 fn portfolio_fleet(threads: usize) -> Vec<(Option<Rung>, u32, swp_codegen::PipelinedLoop)> {
     let m = Machine::r8000();
     let driver = Driver::uncached(threads);
-    let quick = PortfolioOptions {
-        most: swp_most::MostOptions {
-            fallback: true,
-            ..quick_most()
-        },
-        sat: SatOptions {
-            fallback: true,
-            ..counted_sat()
-        },
-        ..PortfolioOptions::default()
-    };
+    let base = PortfolioOptions::default();
     let no_ilp = PortfolioOptions {
         most: swp_most::MostOptions {
             max_ops: 0,
-            ..quick.most.clone()
+            ..base.most.clone()
         },
-        ..quick.clone()
+        ..base.clone()
     };
     let heur_only = PortfolioOptions {
         use_ilp: false,
         use_sat: false,
-        ..quick.clone()
+        ..base.clone()
     };
     let kernels: Vec<Loop> = swp_kernels::livermore()
         .into_iter()
@@ -275,7 +255,7 @@ fn portfolio_fleet(threads: usize) -> Vec<(Option<Rung>, u32, swp_codegen::Pipel
         .collect();
     let mut jobs: Vec<(Loop, PortfolioOptions)> = Vec::new();
     for k in &kernels {
-        jobs.push((k.clone(), quick.clone()));
+        jobs.push((k.clone(), base.clone()));
         jobs.push((k.clone(), no_ilp.clone()));
         jobs.push((k.clone(), heur_only.clone()));
     }
@@ -290,7 +270,7 @@ fn portfolio_fleet(threads: usize) -> Vec<(Option<Rung>, u32, swp_codegen::Pipel
         let inner = driver.sequential_view();
         inner
             .compile_with(lp, &m, &options)
-            .expect("quick portfolio compiles the easy kernels")
+            .expect("the default portfolio compiles the easy kernels")
     });
     compiled
         .into_iter()

@@ -29,8 +29,6 @@ fn tight_most() -> MostOptions {
     MostOptions {
         node_limit: 2_000,
         pivot_limit: 20_000,
-        time_limit: None,
-        loop_time_limit: None,
         loop_pivot_limit: Some(60_000),
         max_ops: 12,
         ..MostOptions::default()
