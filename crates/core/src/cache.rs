@@ -17,21 +17,25 @@
 //! - **In-flight dedup**: concurrent requests for one key block on the
 //!   first compile instead of duplicating it, so a parallel run compiles
 //!   each distinct triple exactly once and every consumer observes the
-//!   *same* result object (determinism even for schedulers with
-//!   wall-clock budgets).
+//!   *same* result object. A request with a deadline keys like the same
+//!   request without one, so it may wait on an identical deadline-free
+//!   compile already in flight; that wait is bounded by the deterministic
+//!   budgets, not by its deadline.
 //! - **Invalidation** is unnecessary by construction: keys are pure
 //!   functions of immutable inputs. A process restart empties the cache.
 //!
 //! Errors are cached too: a loop MOST cannot schedule under given
 //! budgets fails identically on re-query (budget options are part of the
 //! key, so raising the budget creates a fresh entry). The one exception
-//! is **wall-clock truncation**: a result (success *or* failure) whose
-//! search was cut short by a deadline depends on host load, not on the
-//! key, so memoizing it would pin a transient outcome for the whole
-//! process lifetime. Such results are returned to the caller but never
-//! enter the table — a re-query recompiles. Deterministic budgets
-//! (`node_limit`, `pivot_limit`) never set that flag and stay fully
-//! memoizable.
+//! is **cancellation**: a result (success *or* failure) whose search was
+//! cut short by its cancel token — a race's flag or a caller's deadline —
+//! depends on host load, not on the key, so memoizing it would pin a
+//! transient outcome for the whole process lifetime. Such results carry
+//! `deadline_hit`; they are returned to the caller but never enter the
+//! table — a re-query recompiles. The token itself is not keyed: a
+//! deadline that never fires cannot change a deterministic search.
+//! Deterministic budgets (`node_limit`, `pivot_limit`) never set that
+//! flag and stay fully memoizable.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -270,17 +274,6 @@ impl ScheduleCache {
             misses: self.misses.load(Ordering::Relaxed),
         }
     }
-
-    /// Drop every memoized entry and zero the counters. In-flight
-    /// compiles keep their Pending slots so their waiters still get woken.
-    pub fn clear(&self) {
-        self.slots
-            .lock()
-            .expect("cache lock")
-            .retain(|_, s| matches!(s, Slot::Pending));
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -308,6 +301,11 @@ mod tests {
         choice: &SchedulerChoice,
     ) -> Result<Arc<CompiledLoop>, CompileError> {
         cache.get_or_compile_with(lp, m, &CompileOptions::from(choice.clone()))
+    }
+
+    /// A token whose deadline has already passed.
+    fn expired() -> swp_obs::CancelToken {
+        swp_obs::CancelToken::with_deadline(std::time::Instant::now())
     }
 
     fn saxpy(name: &str) -> Loop {
@@ -570,7 +568,7 @@ mod tests {
 
     #[test]
     fn deadline_truncated_failures_are_not_memoized() {
-        // A zero wall-clock budget forces the deadline path
+        // A token that expired at its creation forces the deadline path
         // deterministically; a failure it causes must not be pinned in
         // the table, or a transient timeout on a loaded host would
         // poison every later query of the same key.
@@ -578,7 +576,7 @@ mod tests {
         let cache = ScheduleCache::new();
         let lp = saxpy("s");
         let choice = SchedulerChoice::IlpWith(MostOptions {
-            loop_time_limit: Some(std::time::Duration::ZERO),
+            cancel: expired(),
             fallback: false,
             ..MostOptions::default()
         });
@@ -606,7 +604,7 @@ mod tests {
 
     #[test]
     fn deadline_truncated_successes_are_not_memoized_either() {
-        // With the fallback on, a zero loop budget still yields a valid
+        // With the fallback on, an expired deadline still yields a valid
         // schedule (the heuristic's), but one flagged deadline_hit: the
         // *decision to fall back* was host-dependent, so the result is
         // just as unmemoizable as a failure.
@@ -614,7 +612,7 @@ mod tests {
         let cache = ScheduleCache::new();
         let lp = saxpy("s");
         let choice = SchedulerChoice::IlpWith(MostOptions {
-            loop_time_limit: Some(std::time::Duration::ZERO),
+            cancel: expired(),
             fallback: true,
             ..MostOptions::default()
         });
@@ -832,23 +830,6 @@ mod tests {
             key(&lp, &m, &SchedulerChoice::Ladder),
             key(&lp, &m, &sat_tweaked_ladder)
         );
-    }
-
-    #[test]
-    fn clear_drops_every_entry_and_zeroes_the_counters() {
-        let m = Machine::r8000();
-        let cache = ScheduleCache::new();
-        for i in 0..5 {
-            let mut b = LoopBuilder::new("c");
-            let x = b.array("x", 8);
-            let v = b.load(x, i, 8);
-            b.store(x, i + 64, 8, v);
-            get(&cache, &b.finish(), &m, &SchedulerChoice::Heuristic).expect("compiles");
-        }
-        assert_eq!(cache.len(), 5);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //! out of range are rejected, and a decoded loop passes
 //! [`Loop::from_raw_parts`].
 
-use std::time::Duration;
-
 use crate::compile::{CompileOptions, SchedulerChoice};
 use crate::ladder::{ChaosFault, ChaosOptions, LadderOptions, Rung};
 use crate::portfolio::PortfolioOptions;
@@ -428,13 +426,9 @@ pub fn encode_machine(s: &mut impl Sink, m: &Machine) {
 // Every options encoder below destructures its struct exhaustively, so a
 // new field that is neither keyed nor explicitly excluded (`cancel: _`,
 // `telemetry: _`) fails to compile instead of silently aliasing cache
-// entries. Cancellation and telemetry cannot change what a *completed*
-// compile produced, and truncated results are never memoized anyway.
-
-/// A wall-clock budget as nanoseconds, saturating.
-fn nanos(d: Option<Duration>) -> Option<u64> {
-    d.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-}
+// entries. A cancel token (its deadline included) and telemetry cannot
+// change what a *completed* compile produced, and truncated results are
+// never memoized anyway.
 
 fn encode_heur(s: &mut impl Sink, opts: &HeurOptions) {
     let HeurOptions {
@@ -462,11 +456,9 @@ fn encode_most(s: &mut impl Sink, opts: &MostOptions) {
         minimize_buffers,
         node_limit,
         pivot_limit,
-        time_limit,
         use_priority_orders,
         max_ii_factor,
         fallback,
-        loop_time_limit,
         loop_pivot_limit,
         max_ops,
         cancel: _,
@@ -475,11 +467,9 @@ fn encode_most(s: &mut impl Sink, opts: &MostOptions) {
     s.bool(*minimize_buffers);
     s.u64(*node_limit);
     s.u64(*pivot_limit);
-    s.opt(nanos(*time_limit), Sink::u64);
     s.bool(*use_priority_orders);
     s.u32(*max_ii_factor);
     s.bool(*fallback);
-    s.opt(nanos(*loop_time_limit), Sink::u64);
     s.opt(*loop_pivot_limit, Sink::u64);
     s.u64(*max_ops as u64);
 }
@@ -488,10 +478,8 @@ fn encode_sat(s: &mut impl Sink, opts: &SatOptions) {
     let SatOptions {
         conflict_limit,
         propagation_limit,
-        time_limit,
         max_ii_factor,
         fallback,
-        loop_time_limit,
         loop_conflict_limit,
         max_ops,
         cancel: _,
@@ -499,10 +487,8 @@ fn encode_sat(s: &mut impl Sink, opts: &SatOptions) {
     s.u8(b'S');
     s.u64(*conflict_limit);
     s.u64(*propagation_limit);
-    s.opt(nanos(*time_limit), Sink::u64);
     s.u32(*max_ii_factor);
     s.bool(*fallback);
-    s.opt(nanos(*loop_time_limit), Sink::u64);
     s.opt(*loop_conflict_limit, Sink::u64);
     s.u64(*max_ops as u64);
 }

@@ -355,21 +355,21 @@ fn run_opt_stage(lp: &Loop, machine: &Machine, options: &CompileOptions, plan: &
     }
 }
 
-/// The wall-clock budget the mid-end inherits from the scheduler choice:
-/// optimization shares the loop's compile-time allowance rather than
-/// adding an unbounded stage in front of it. Heuristic compiles carry no
-/// wall budget, so their pipeline runs to fixpoint (it is bounded by the
-/// pass manager's round cap anyway). A ladder's or portfolio's budget is
-/// its ILP stage's: ILP is never cancelled, so its allowance bounds both.
+/// The deadline the mid-end inherits from the scheduler choice's cancel
+/// token: optimization spends the loop's compile-time allowance rather
+/// than adding an unbounded stage in front of it. Heuristic compiles carry
+/// no deadline, so their pipeline runs to fixpoint (it is bounded by the
+/// pass manager's round cap anyway). A ladder's or portfolio's deadline is
+/// its ILP stage's: ILP is never cancelled by a race, so its token bounds
+/// both.
 fn opt_deadline(plan: &Plan) -> Option<Instant> {
-    let budget = match plan {
-        Plan::Direct(Backend::Ilp(o)) => o.loop_time_limit.or(o.time_limit),
-        Plan::Direct(Backend::Sat(o)) => o.loop_time_limit.or(o.time_limit),
+    match plan {
+        Plan::Direct(Backend::Ilp(o)) => o.cancel.deadline(),
+        Plan::Direct(Backend::Sat(o)) => o.cancel.deadline(),
         Plan::Direct(_) => None,
-        Plan::Ladder(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
-        Plan::Portfolio(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
-    };
-    budget.map(|d| Instant::now() + d)
+        Plan::Ladder(opts) => opts.most.cancel.deadline(),
+        Plan::Portfolio(opts) => opts.most.cancel.deadline(),
+    }
 }
 
 /// Exact counters for one pass-pipeline run: per-pass application

@@ -74,7 +74,7 @@ pub use ladder::{
     compile_ladder, hush_injected_panics, render_attempts, ChaosFault, ChaosOptions, Corruption,
     LadderOptions, Rung, RungAttempt, RungOutcome,
 };
-pub use par::{Driver, JobPanic};
+pub use par::Driver;
 pub use portfolio::{compile_portfolio, PortfolioOptions};
 pub use suite::{
     audit_suite_with, geometric_mean, ladder_suite_with, run_suite_baseline_with, run_suite_with,

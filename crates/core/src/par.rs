@@ -21,26 +21,9 @@ use std::sync::{Arc, Mutex};
 
 use crate::cache::{CacheStats, ScheduleCache};
 use crate::compile::{compile_loop_with, CompileError, CompileOptions, CompiledLoop};
-use crate::stage::{catch, panic_message};
+use crate::stage::catch;
 use swp_ir::Loop;
 use swp_machine::Machine;
-
-/// A job that panicked under [`Driver::run_indexed_catching`], reduced to
-/// its index and (best-effort) message. The payload itself is dropped: it
-/// is not `Sync`, and quarantine reports only need something printable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Index of the panicking job.
-    pub job: usize,
-    /// Panic message, when the payload was a string.
-    pub message: String,
-}
-
-impl std::fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} panicked: {}", self.job, self.message)
-    }
-}
 
 /// A thread-pool + schedule-cache pair that drives compiles.
 #[derive(Clone)]
@@ -155,89 +138,45 @@ impl Driver {
     /// Re-raises the panic of the lowest-indexed panicking job — but only
     /// after **every** job has run, so one poisoned loop cannot abort its
     /// siblings mid-flight, and which panic surfaces does not depend on
-    /// thread timing. Callers who need all jobs' outcomes use
-    /// [`Driver::run_indexed_catching`] instead.
+    /// thread timing. Every job runs under `catch_unwind` (on the
+    /// sequential path too, so thread count never changes what callers
+    /// observe) and parks its `Result` in its own slot.
     pub fn run_indexed<T, F>(&self, jobs: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let mut out = Vec::with_capacity(jobs);
-        for r in self.run_indexed_raw(jobs, f) {
-            match r {
-                Ok(v) => out.push(v),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    }
-
-    /// [`Driver::run_indexed`] with panics as data: each job yields
-    /// either its result or a [`JobPanic`], in job order. Nothing
-    /// unwinds out of this call; the pool always completes every job.
-    pub fn run_indexed_catching<T, F>(&self, jobs: usize, f: F) -> Vec<Result<T, JobPanic>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_indexed_raw(jobs, f)
-            .into_iter()
-            .enumerate()
-            .map(|(job, r)| {
-                r.map_err(|p| JobPanic {
-                    job,
-                    message: panic_message(p.as_ref()),
-                })
-            })
-            .collect()
-    }
-
-    /// The shared engine: every job runs under `catch_unwind` (on the
-    /// sequential path too, so thread count never changes what callers
-    /// observe) and parks its `Result` in its own slot.
-    fn run_indexed_raw<T, F>(
-        &self,
-        jobs: usize,
-        f: F,
-    ) -> Vec<Result<T, Box<dyn std::any::Any + Send>>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
+        let run = |job| catch_unwind(AssertUnwindSafe(|| f(job)));
         let workers = self.threads.min(jobs);
-        if workers <= 1 {
-            return (0..jobs)
-                .map(|i| catch_unwind(AssertUnwindSafe(|| f(i))))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        type Slot<T> = Mutex<Option<Result<T, Box<dyn std::any::Any + Send>>>>;
-        let slots: Vec<Slot<T>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (next, slots, f) = (&next, &slots, &f);
-                    s.spawn(move || loop {
+        let results: Vec<std::thread::Result<T>> = if workers <= 1 {
+            (0..jobs).map(run).collect()
+        } else {
+            let next = AtomicUsize::new(0);
+            let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+                (0..jobs).map(|_| Mutex::new(None)).collect();
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| loop {
                         let job = next.fetch_add(1, Ordering::Relaxed);
                         if job >= jobs {
                             break;
                         }
-                        let result = catch_unwind(AssertUnwindSafe(|| f(job)));
-                        *slots[job].lock().expect("result slot lock") = Some(result);
-                    })
+                        *slots[job].lock().expect("result slot lock") = Some(run(job));
+                    });
+                }
+            });
+            slots
+                .into_iter()
+                .map(|slot| {
+                    slot.into_inner()
+                        .expect("result slot lock")
+                        .expect("the counter passed every index, so every job ran")
                 })
-                .collect();
-            for h in handles {
-                h.join().expect("worker loops catch their jobs' panics");
-            }
-        });
-        slots
+                .collect()
+        };
+        results
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot lock")
-                    .expect("the counter passed every index, so every job ran")
-            })
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
     }
 }
@@ -307,35 +246,7 @@ mod tests {
     }
 
     use crate::ladder::hush_injected_panics;
-
-    #[test]
-    fn catching_pool_survives_panicking_jobs() {
-        hush_injected_panics();
-        for threads in [1, 2, 8] {
-            let driver = Driver::uncached(threads);
-            let ran: Vec<AtomicUsize> = (0..30).map(|_| AtomicUsize::new(0)).collect();
-            let out = driver.run_indexed_catching(ran.len(), |i| {
-                ran[i].fetch_add(1, Ordering::Relaxed);
-                assert!(i % 7 != 3, "expected: job {i}");
-                i
-            });
-            // Every job ran exactly once, panicking or not.
-            assert!(ran.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-            for (i, r) in out.iter().enumerate() {
-                match r {
-                    Ok(v) => {
-                        assert_eq!(*v, i);
-                        assert!(i % 7 != 3);
-                    }
-                    Err(p) => {
-                        assert_eq!(p.job, i);
-                        assert!(i % 7 == 3, "only planted panics fail");
-                        assert!(p.message.contains(&format!("expected: job {i}")));
-                    }
-                }
-            }
-        }
-    }
+    use crate::stage::panic_message;
 
     #[test]
     fn run_indexed_resumes_the_first_panic_in_job_order() {

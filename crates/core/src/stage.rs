@@ -336,19 +336,25 @@ fn race(
     let _span = swp_obs::span("portfolio")
         .with_s("loop", lp.name())
         .with_i("backends", stages.len() as i64);
-    let tokens: Vec<CancelToken> = stages.iter().map(|_| CancelToken::new()).collect();
+    let mut tokens = Vec::with_capacity(stages.len());
     let mut results = Vec::with_capacity(stages.len());
     let mut cancellations = 0u64;
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::channel();
         for (i, &(rung, ref backend)) in stages.iter().enumerate() {
-            // ILP keeps the caller's token: a race never cancels it.
+            // ILP keeps the caller's token: a race never cancels it. Every
+            // other racer runs on a fork of its own token: a fresh flag for
+            // the race to fire, and the caller's deadline, if any.
             let mut backend = backend.clone();
-            match &mut backend {
-                Backend::Sat(o) => o.cancel = tokens[i].clone(),
-                Backend::Heuristic(o) | Backend::Escalated(o, _) => o.cancel = tokens[i].clone(),
-                Backend::Ilp(_) | Backend::Sequential => {}
-            }
+            let token = match &mut backend {
+                Backend::Sat(o) => Some(&mut o.cancel),
+                Backend::Heuristic(o) | Backend::Escalated(o, _) => Some(&mut o.cancel),
+                Backend::Ilp(_) | Backend::Sequential => None,
+            };
+            tokens.push(token.map_or_else(CancelToken::never, |t| {
+                *t = t.fork();
+                t.clone()
+            }));
             let tx = tx.clone();
             s.spawn(move || {
                 let result = catch(|| backend.schedule(lp, machine))

@@ -5,13 +5,13 @@
 //!
 //! A backend ([`IiSearch`]) supplies only what differs: its per-II solve,
 //! its loop work budget, and its telemetry names. The driver owns the
-//! rest: the stop rules (cancellation, the loop's wall-clock deadline and
-//! work budget), the per-II span and step counter, the retry at the next
-//! II after an allocation failure, the rate-optimality certificate, the
-//! `max_ops` shortcut, and the fallback.
+//! rest: the stop rules (the cancel token, whose deadline is the loop's
+//! wall-clock budget, and the loop work budget), the per-II span and
+//! step counter, the retry at the next II after an allocation failure,
+//! the rate-optimality certificate, the `max_ops` shortcut, and the
+//! fallback.
 
 use crate::search::{pipeline, HeurOptions};
-use std::time::{Duration, Instant};
 use swp_ir::{Ddg, Loop, Schedule};
 use swp_machine::Machine;
 use swp_obs::{CancelToken, Counter};
@@ -172,8 +172,6 @@ pub struct IiSearch<'a> {
     pub max_ii_factor: u32,
     /// Fall back to the heuristic pipeliner when the search fails.
     pub fallback: bool,
-    /// Wall-clock budget for the whole search.
-    pub loop_time_limit: Option<Duration>,
     /// Work budget for the whole search, measured by `work_spent`. Once
     /// spent, no further II is attempted.
     pub loop_work_limit: Option<u64>,
@@ -181,13 +179,15 @@ pub struct IiSearch<'a> {
     pub work_spent: fn(&SearchStats) -> u64,
     /// Loops larger than this go straight to the fallback.
     pub max_ops: usize,
-    /// Cooperative cancellation, polled before each II.
+    /// Cooperative cancellation, polled before each II; its deadline, if
+    /// any, is the whole search's wall-clock budget. The fallback keeps
+    /// the token's flag but not its deadline.
     pub cancel: &'a CancelToken,
 }
 
 impl IiSearch<'_> {
-    /// Search `lp` with the per-II solve `solve(ddg, ii, loop_deadline,
-    /// stats)`, which folds its work into `stats`.
+    /// Search `lp` with the per-II solve `solve(ddg, ii, stats)`, which
+    /// folds its work into `stats`.
     ///
     /// # Errors
     ///
@@ -198,7 +198,7 @@ impl IiSearch<'_> {
         &self,
         lp: &Loop,
         machine: &Machine,
-        mut solve: impl FnMut(&Ddg, u32, Option<Instant>, &mut SearchStats) -> IiOutcome,
+        mut solve: impl FnMut(&Ddg, u32, &mut SearchStats) -> IiOutcome,
     ) -> Result<OptimalPipelined, SearchError> {
         if lp.is_empty() {
             return Err(SearchError::EmptyLoop);
@@ -210,14 +210,13 @@ impl IiSearch<'_> {
             min_ii,
             ..SearchStats::default()
         };
-        let deadline = self.loop_time_limit.map(|d| Instant::now() + d);
         // Stays true while every II passed over was proven infeasible: not
         // a budget timeout, not a register-allocation failure.
         let mut proven_below = true;
         // A loop over `max_ops` skips the search for the fallback.
         let too_large = lp.len() > self.max_ops;
         for ii in (min_ii..=max_ii).filter(|_| !too_large) {
-            if self.cancel.is_cancelled() || deadline.is_some_and(|d| Instant::now() >= d) {
+            if self.cancel.is_cancelled() {
                 stats.deadline_hit = true;
                 break;
             }
@@ -230,7 +229,7 @@ impl IiSearch<'_> {
             stats.iis_tried.push(ii);
             swp_obs::count(self.step_counter, 1);
             let step_span = swp_obs::span(self.step_span).with_i("ii", i64::from(ii));
-            let outcome = solve(&ddg, ii, deadline, &mut stats);
+            let outcome = solve(&ddg, ii, &mut stats);
             drop(step_span);
             match outcome {
                 IiOutcome::Schedule { schedule, buffers } => {
@@ -258,8 +257,10 @@ impl IiSearch<'_> {
             }
         }
         if self.fallback {
+            // The heuristic has no wall clock: a deadline that stopped the
+            // search must not also stop its rescue, a cancel must.
             let heur_opts = HeurOptions {
-                cancel: self.cancel.clone(),
+                cancel: self.cancel.without_deadline(),
                 ..HeurOptions::default()
             };
             if let Ok(h) = pipeline(lp, machine, &heur_opts) {
@@ -287,6 +288,7 @@ impl IiSearch<'_> {
 mod tests {
     use super::*;
     use crate::modsched::{schedule_at, AttemptStats};
+    use std::time::Instant;
     use swp_ir::LoopBuilder;
 
     /// `y[i] = a · x[i]`: no recurrence, so delaying the consumers keeps
@@ -339,7 +341,6 @@ mod tests {
             fallback_counter: Counter::MostFallbacks,
             max_ii_factor: 3,
             fallback: false,
-            loop_time_limit: None,
             loop_work_limit: None,
             work_spent: |s| s.pivots,
             max_ops: 100,
@@ -354,7 +355,7 @@ mod tests {
         script: impl Fn(u32) -> IiOutcome,
     ) -> (Result<OptimalPipelined, SearchError>, Vec<u32>) {
         let mut solved = Vec::new();
-        let r = search.run(&scale(), &Machine::r8000(), |_, ii, _, stats| {
+        let r = search.run(&scale(), &Machine::r8000(), |_, ii, stats| {
             solved.push(ii);
             stats.pivots += 10;
             script(ii)
@@ -387,16 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_and_the_loop_deadline_set_deadline_hit() {
+    fn cancel_and_the_token_deadline_set_deadline_hit() {
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        let never = CancelToken::never();
-        let expired = IiSearch {
-            loop_time_limit: Some(Duration::ZERO),
-            ..search(&never)
-        };
-        for (name, s) in [("cancel", search(&cancelled)), ("deadline", expired)] {
-            let (r, solved) = run(&s, |ii| scheduled(ii, 0));
+        let expired = CancelToken::with_deadline(Instant::now());
+        for (name, token) in [("cancel", &cancelled), ("deadline", &expired)] {
+            let (r, solved) = run(&search(token), |ii| scheduled(ii, 0));
             assert!(solved.is_empty(), "{name}: no II may start");
             assert!(
                 matches!(
@@ -409,6 +406,36 @@ mod tests {
                 "{name}: {r:?}"
             );
         }
+    }
+
+    #[test]
+    fn the_fallback_outlives_the_deadline_but_not_a_cancel() {
+        let expired = CancelToken::with_deadline(Instant::now());
+        let s = IiSearch {
+            fallback: true,
+            ..search(&expired)
+        };
+        let (r, solved) = run(&s, |ii| scheduled(ii, 0));
+        let p = r.expect("the heuristic has no wall clock");
+        assert!(solved.is_empty());
+        assert!(p.stats.fell_back && p.stats.deadline_hit);
+        let cancelled = CancelToken::with_deadline(Instant::now());
+        cancelled.cancel();
+        let s = IiSearch {
+            fallback: true,
+            ..search(&cancelled)
+        };
+        let (r, _) = run(&s, |ii| scheduled(ii, 0));
+        assert!(
+            matches!(
+                r,
+                Err(SearchError::NoSchedule {
+                    deadline_hit: true,
+                    ..
+                })
+            ),
+            "a cancel stops the fallback too: {r:?}"
+        );
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! engine's basis stays dual feasible and node re-solves are warm dual
 //! re-solves — typically a handful of pivots instead of a cold
 //! Phase-I/Phase-II. The search budget is a deterministic **pivot count**
-//! (plus the node limit); wall-clock limits are opt-in and reported
-//! separately via [`IlpResult::deadline_hit`] so callers can tell
-//! host-dependent truncation apart from the reproducible budgets.
+//! (plus the node limit); a caller's [`SolveOptions::cancel`] token is the
+//! only stop that depends on the wall clock, and it is reported separately
+//! via [`IlpResult::deadline_hit`] so callers can tell host-dependent
+//! truncation apart from the reproducible budgets.
 
 use crate::model::{ConstraintOp, Model, Sense, VarId, VarKind};
 use crate::simplex::{Budget, LpEngine, LpOutcome, LpSolution};
-use std::time::{Duration, Instant};
 
 /// Branch-and-bound controls.
 #[derive(Debug, Clone)]
@@ -22,10 +22,6 @@ pub struct SolveOptions {
     /// budget — unlike wall-clock time, a pivot count reproduces exactly
     /// on any host).
     pub pivot_limit: u64,
-    /// Optional wall-clock budget. The paper used 3 minutes per solve
-    /// (§3.3); a caller may set this for a deadline, while MOST's and
-    /// SAT's default budgets rely on `node_limit`/`pivot_limit` instead.
-    pub time_limit: Option<Duration>,
     /// Branch variable priority: the first *fractional* variable in this
     /// order is branched on. §3.3(3) of the paper found this ordering to be
     /// "by far the most important factor" in solving scheduling ILPs.
@@ -52,10 +48,11 @@ pub struct SolveOptions {
     /// scheduler that reaches an integral leaf in roughly one node per
     /// variable in the branch order.
     pub branch_up_first: bool,
-    /// Cooperative cancellation, polled per pivot batch and per node —
-    /// exactly where `time_limit` is polled. A cancelled solve reports
-    /// [`IlpResult::deadline_hit`] for the same reason a deadline does:
-    /// the truncation point is host-dependent.
+    /// Cooperative cancellation, polled per pivot batch and per node; a
+    /// token with a deadline is how a caller gives the solve a wall-clock
+    /// budget (the paper used 3 minutes per solve, §3.3). A cancelled
+    /// solve reports [`IlpResult::deadline_hit`]: the truncation point is
+    /// host-dependent.
     pub cancel: swp_obs::CancelToken,
     /// A known integral solution installed as the starting incumbent
     /// (after a feasibility check against the model): the search begins
@@ -82,7 +79,6 @@ impl Default for SolveOptions {
         SolveOptions {
             node_limit: 200_000,
             pivot_limit: u64::MAX,
-            time_limit: None,
             branch_order: None,
             branch_groups: None,
             integrality_tol: 1e-5,
@@ -124,8 +120,9 @@ pub struct IlpResult {
     pub refactorizations: u64,
     /// Dual-repair bound flips performed by the shared engine.
     pub bound_flips: u64,
-    /// Whether the wall-clock deadline (if any) caused truncation. Results
-    /// with this flag set are host-dependent and must not be memoized.
+    /// Whether the cancel token (its flag or its deadline) cut the search
+    /// short. Results with this flag set are host-dependent and must not
+    /// be memoized.
     pub deadline_hit: bool,
 }
 
@@ -148,8 +145,7 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
     let mut lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
     let mut upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
 
-    let deadline = options.time_limit.map(|d| Instant::now() + d);
-    let mut budget = Budget::new(options.pivot_limit, deadline, options.cancel.clone());
+    let mut budget = Budget::new(options.pivot_limit, options.cancel.clone());
     let mut engine = LpEngine::new(model);
     let minimize = model.sense == Sense::Minimize;
     let _span = swp_obs::span("ilp.solve")
@@ -617,6 +613,26 @@ mod tests {
         assert_eq!(a.pivots, b.pivots);
         assert!(a.pivots <= 2);
         assert!(!a.deadline_hit);
+    }
+
+    #[test]
+    fn an_expired_token_stops_the_solve_as_a_deadline() {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.integer("x");
+        let y = m.integer("y");
+        m.set_objective([(x, 1.0), (y, 1.0)]);
+        m.add_le([(x, 2.0), (y, 3.0)], 7.0);
+        m.add_le([(x, 3.0), (y, 2.0)], 7.0);
+        let r = solve_ilp(
+            &m,
+            &SolveOptions {
+                cancel: swp_obs::CancelToken::with_deadline(std::time::Instant::now()),
+                ..SolveOptions::default()
+            },
+        );
+        assert_eq!(r.status, Status::Unknown);
+        assert_eq!(r.nodes, 0, "no node starts after the deadline");
+        assert!(r.deadline_hit);
     }
 
     #[test]

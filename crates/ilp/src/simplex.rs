@@ -39,7 +39,6 @@
 
 use crate::kernel::{combine_rows, row_dots, sub_scaled};
 use crate::model::{ConstraintOp, Model, Sense};
-use std::time::Instant;
 
 const EPS: f64 = 1e-9;
 const FEAS_EPS: f64 = 1e-7;
@@ -48,9 +47,9 @@ const DUAL_EPS: f64 = 1e-7;
 const REFACTOR_EVERY: u32 = 64;
 /// Consecutive degenerate pivots before Bland's rule engages.
 const STALL_LIMIT: u32 = 100;
-/// Floating-point cells of pivot work between wall-clock polls: the poll
-/// interval in *pivots* scales inversely with model size, so one sweep on
-/// a large model can no longer overshoot a short deadline.
+/// Floating-point cells of pivot work between cancel-token polls: the
+/// poll interval in *pivots* scales inversely with model size, so one
+/// sweep on a large model can no longer overshoot a short deadline.
 const POLL_WORK: u64 = 1 << 18;
 
 /// Result of an LP solve.
@@ -62,7 +61,8 @@ pub enum LpOutcome {
     Infeasible,
     /// The objective is unbounded in the optimization direction.
     Unbounded,
-    /// The pivot budget or deadline ran out (treated as a solver failure).
+    /// The pivot budget ran out or the cancel token fired (treated as a
+    /// solver failure).
     IterLimit,
 }
 
@@ -76,37 +76,30 @@ pub struct LpSolution {
 }
 
 /// Deterministic work budget shared by every solve of one branch-and-bound
-/// tree: a pivot count (host-independent) plus an optional wall-clock
-/// deadline polled every [`POLL_WORK`] cells of pivot work.
+/// tree: a pivot count (host-independent) plus the caller's cancel token,
+/// polled every [`POLL_WORK`] cells of pivot work.
 #[derive(Debug)]
 pub(crate) struct Budget {
     /// Maximum total pivots (bound flips included).
     pub pivot_limit: u64,
     /// Pivots performed so far.
     pub pivots: u64,
-    /// Optional wall-clock deadline.
-    pub deadline: Option<Instant>,
-    /// Whether the deadline fired (distinguishes host-dependent truncation
-    /// from the deterministic pivot/node budgets). Cooperative
-    /// cancellation sets the same flag: like a deadline, whether it lands
-    /// mid-solve depends on wall clock, so both truncations share the
-    /// "host-dependent, never memoize" treatment downstream.
+    /// Whether the cancel token fired (distinguishes host-dependent
+    /// truncation from the deterministic pivot/node budgets): whether its
+    /// flag or deadline lands mid-solve depends on the wall clock, so the
+    /// result gets the "host-dependent, never memoize" treatment
+    /// downstream.
     pub deadline_hit: bool,
-    /// Cooperative cancellation, polled wherever the deadline is polled.
+    /// Cooperative cancellation, with the caller's deadline if any.
     pub cancel: swp_obs::CancelToken,
     work_since_poll: u64,
 }
 
 impl Budget {
-    pub(crate) fn new(
-        pivot_limit: u64,
-        deadline: Option<Instant>,
-        cancel: swp_obs::CancelToken,
-    ) -> Budget {
+    pub(crate) fn new(pivot_limit: u64, cancel: swp_obs::CancelToken) -> Budget {
         Budget {
             pivot_limit,
             pivots: 0,
-            deadline,
             deadline_hit: false,
             cancel,
             work_since_poll: 0,
@@ -114,7 +107,7 @@ impl Budget {
     }
 
     pub(crate) fn unlimited() -> Budget {
-        Budget::new(u64::MAX, None, swp_obs::CancelToken::never())
+        Budget::new(u64::MAX, swp_obs::CancelToken::never())
     }
 
     /// Whether no further pivoting is allowed.
@@ -122,22 +115,10 @@ impl Budget {
         self.deadline_hit || self.pivots >= self.pivot_limit
     }
 
-    /// Check the deadline and cancel flag right now (node-granularity poll).
+    /// Check the cancel token right now (node-granularity poll).
     pub(crate) fn poll(&mut self) -> bool {
-        if self.deadline_hit {
-            return true;
-        }
-        if self.cancel.is_cancelled() {
-            self.deadline_hit = true;
-            return true;
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                self.deadline_hit = true;
-                return true;
-            }
-        }
-        false
+        self.deadline_hit = self.deadline_hit || self.cancel.is_cancelled();
+        self.deadline_hit
     }
 
     /// Account one pivot of roughly `work` array cells. Returns `false`
@@ -147,7 +128,7 @@ impl Budget {
         if self.pivots >= self.pivot_limit {
             return false;
         }
-        if self.deadline.is_some() || self.cancel.is_real() {
+        if self.cancel.is_real() {
             self.work_since_poll = self.work_since_poll.saturating_add(work);
             if self.work_since_poll >= POLL_WORK {
                 self.work_since_poll = 0;
@@ -1191,20 +1172,14 @@ fn sub_row(mat: &mut [f64], m: usize, r: usize, k: usize, from: usize, f: f64) {
 pub fn solve_lp(model: &Model) -> LpOutcome {
     let lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
     let upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
-    solve_lp_with_bounds(model, &lower, &upper, None)
+    solve_lp_with_bounds(model, &lower, &upper)
 }
 
 /// One-shot solve with per-variable bounds overriding the model's. Cold:
 /// builds a fresh [`LpEngine`]; branch-and-bound keeps its own engine warm
 /// across nodes instead of calling this.
-pub(crate) fn solve_lp_with_bounds(
-    model: &Model,
-    lower: &[f64],
-    upper: &[f64],
-    deadline: Option<Instant>,
-) -> LpOutcome {
-    let mut budget = Budget::new(u64::MAX, deadline, swp_obs::CancelToken::never());
-    LpEngine::new(model).solve_budgeted(lower, upper, &mut budget)
+pub(crate) fn solve_lp_with_bounds(model: &Model, lower: &[f64], upper: &[f64]) -> LpOutcome {
+    LpEngine::new(model).solve_budgeted(lower, upper, &mut Budget::unlimited())
 }
 
 #[cfg(test)]
@@ -1308,12 +1283,7 @@ mod tests {
         let y = m.continuous("y");
         m.set_objective([(y, 1.0)]);
         m.add_ge([(x, 2.0), (y, 1.0)], 3.0);
-        let s = opt(solve_lp_with_bounds(
-            &m,
-            &[1.0, 0.0],
-            &[1.0, f64::INFINITY],
-            None,
-        ));
+        let s = opt(solve_lp_with_bounds(&m, &[1.0, 0.0], &[1.0, f64::INFINITY]));
         assert!((s.values[x.index()] - 1.0).abs() < 1e-9);
         assert!((s.values[y.index()] - 1.0).abs() < 1e-6);
     }

@@ -42,7 +42,6 @@ mod formulation;
 
 pub use formulation::{build_model, Objective, SchedulingModel};
 
-use std::time::Duration;
 use swp_heur::{
     priority_list, Buffers, IiOutcome, IiSearch, OptimalPipelined, PriorityHeuristic, SearchError,
     SearchStats,
@@ -69,24 +68,13 @@ pub struct MostOptions {
     /// much finer grain: a single pathological node LP cannot eat the
     /// whole budget unnoticed.
     pub pivot_limit: u64,
-    /// Wall-clock budget per ILP solve; `None` by default. The field
-    /// exists for the paper's regime, a 3-minute limit per search (§3.3).
-    /// A result truncated by it carries `deadline_hit` and is never
-    /// memoized.
-    pub time_limit: Option<Duration>,
     /// Drive branching with the SGI priority orders (§3.3 adj. 3).
     pub use_priority_orders: bool,
     /// `MaxII = max_ii_factor × MinII`, as for the heuristic pipeliner.
     pub max_ii_factor: u32,
     /// Fall back to the heuristic pipeliner when MOST fails (§4.4).
     pub fallback: bool,
-    /// Overall wall-clock budget for the whole II search on one loop;
-    /// `None` by default (the paper's three-minute regime was per search;
-    /// this caps the loop). Callers set it for a deadline, as the compile
-    /// service does for a request's `deadline_ms`.
-    pub loop_time_limit: Option<Duration>,
-    /// Deterministic analogue of [`loop_time_limit`](Self::loop_time_limit):
-    /// total simplex pivots across the whole II ladder. Once the ladder
+    /// Total simplex pivots across the whole II ladder. Once the ladder
     /// has spent this many pivots, no further II is attempted (the solve
     /// in flight still completes, so the overshoot is at most one
     /// `pivot_limit`). Without it, a loop whose schedules keep failing
@@ -98,10 +86,15 @@ pub struct MostOptions {
     /// reports MOST's practical ceiling at 61 operations; beyond it the
     /// solves only burn their full budgets before failing.
     pub max_ops: usize,
-    /// Cooperative cancellation, polled per simplex pivot batch (the same
-    /// granularity as `time_limit`). A cancelled search reports
-    /// `deadline_hit` so the schedule cache never memoizes it. Not part
-    /// of the cache key.
+    /// Cooperative cancellation, polled per simplex pivot batch, per
+    /// branch-and-bound node and before each II. A token with a deadline
+    /// is the search's wall-clock budget, one for the whole loop (the
+    /// paper's regime was a 3-minute limit per search, §3.3), as the
+    /// compile service sets for a request's `deadline_ms`; the default
+    /// token never fires. A cancelled search reports `deadline_hit` so
+    /// the schedule cache never memoizes it. Not part of the cache key.
+    /// The heuristic fallback keeps the token's flag but not its
+    /// deadline.
     pub cancel: swp_obs::CancelToken,
 }
 
@@ -111,11 +104,9 @@ impl Default for MostOptions {
             minimize_buffers: true,
             node_limit: 20_000,
             pivot_limit: 400_000,
-            time_limit: None,
             use_priority_orders: true,
             max_ii_factor: 2,
             fallback: true,
-            loop_time_limit: None,
             // About three full solves' worth of pivots across all IIs
             // tried for one loop, so a loop whose schedules keep failing
             // allocation cannot grind through every II to MaxII at full
@@ -169,14 +160,13 @@ pub fn pipeline_most(
         fallback_counter: Counter::MostFallbacks,
         max_ii_factor: opts.max_ii_factor,
         fallback: opts.fallback,
-        loop_time_limit: opts.loop_time_limit,
         loop_work_limit: opts.loop_pivot_limit,
         work_spent: |s| s.pivots,
         max_ops: opts.max_ops,
         cancel: &opts.cancel,
     };
     let mut orders = None;
-    search.run(lp, machine, |ddg, ii, _, stats| {
+    search.run(lp, machine, |ddg, ii, stats| {
         let orders = orders.get_or_insert_with(|| branch_orders(lp, ddg, machine, opts));
         solve_at_ii(lp, ddg, machine, ii, opts, orders, stats)
     })
@@ -217,7 +207,6 @@ fn solve_at_ii(
             &SolveOptions {
                 node_limit: opts.node_limit,
                 pivot_limit: opts.pivot_limit,
-                time_limit: opts.time_limit,
                 branch_order: Some(model.branch_order(order)),
                 // Fixing the LP-preferred a[i][t] to 1 first turns the DFS
                 // dive into a priority-guided list scheduler (see

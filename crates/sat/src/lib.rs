@@ -19,8 +19,8 @@
 //! budget. The differential suite holds them to that.
 //!
 //! All budgets that matter are deterministic work measures (conflicts,
-//! propagations); wall clocks and cooperative cancellation exist for
-//! latency control and always confess via `deadline_hit`, which the
+//! propagations); the cancel token, with its optional deadline, exists
+//! for latency control and always confesses via `deadline_hit`, which the
 //! schedule cache treats as "do not memoize".
 //!
 //! # Examples
@@ -48,7 +48,6 @@ mod encode;
 mod solver;
 
 use solver::{SolveBudget, SolveOutcome, Solver};
-use std::time::{Duration, Instant};
 use swp_heur::{IiOutcome, IiSearch, OptimalPipelined, SearchError, SearchStats};
 use swp_ir::{Ddg, Loop, Schedule};
 use swp_machine::Machine;
@@ -65,19 +64,12 @@ pub struct SatOptions {
     /// propagate enormously without conflicting, so the conflict budget
     /// alone does not bound work.
     pub propagation_limit: u64,
-    /// Wall-clock budget per II solve; `None` by default. It mirrors
-    /// MOST's field for the paper's 3-minute regime (§3.3).
-    pub time_limit: Option<Duration>,
     /// `MaxII = max_ii_factor × MinII`, as for the other pipeliners.
     pub max_ii_factor: u32,
     /// Fall back to the heuristic pipeliner when SAT fails (§4.4's
     /// arrangement, transplanted).
     pub fallback: bool,
-    /// Overall wall-clock budget for the whole II ladder on one loop;
-    /// `None` by default.
-    pub loop_time_limit: Option<Duration>,
-    /// Deterministic analogue of [`loop_time_limit`](Self::loop_time_limit):
-    /// total conflicts across the whole II ladder. Once spent, no further
+    /// Total conflicts across the whole II ladder. Once spent, no further
     /// II is attempted (the solve in flight still completes, so the
     /// overshoot is at most one `conflict_limit`).
     pub loop_conflict_limit: Option<u64>,
@@ -85,9 +77,12 @@ pub struct SatOptions {
     /// encoding is `O(n · II · kmax)` variables and beyond MOST's
     /// practical ceiling the solves only burn their budgets.
     pub max_ops: usize,
-    /// Cooperative cancellation, polled per conflict (the same granularity
-    /// as `time_limit`). A cancelled search reports `deadline_hit` so the
-    /// schedule cache never memoizes it. Not part of the cache key.
+    /// Cooperative cancellation, polled per conflict and before each II.
+    /// A token with a deadline is the search's wall-clock budget, one for
+    /// the whole loop; the default token never fires. A cancelled search
+    /// reports `deadline_hit` so the schedule cache never memoizes it. Not
+    /// part of the cache key. The heuristic fallback keeps the token's
+    /// flag but not its deadline.
     pub cancel: CancelToken,
 }
 
@@ -96,10 +91,8 @@ impl Default for SatOptions {
         SatOptions {
             conflict_limit: 20_000,
             propagation_limit: 2_000_000,
-            time_limit: None,
             max_ii_factor: 2,
             fallback: true,
-            loop_time_limit: None,
             loop_conflict_limit: Some(60_000),
             max_ops: 64,
             cancel: CancelToken::never(),
@@ -149,14 +142,13 @@ pub fn pipeline_sat(
         fallback_counter: Counter::SatFallbacks,
         max_ii_factor: opts.max_ii_factor,
         fallback: opts.fallback,
-        loop_time_limit: opts.loop_time_limit,
         loop_work_limit: opts.loop_conflict_limit,
         work_spent: |s| s.search_effort,
         max_ops: opts.max_ops,
         cancel: &opts.cancel,
     };
-    search.run(lp, machine, |ddg, ii, loop_deadline, stats| {
-        solve_at_ii(lp, ddg, machine, ii, opts, loop_deadline, stats)
+    search.run(lp, machine, |ddg, ii, stats| {
+        solve_at_ii(lp, ddg, machine, ii, opts, stats)
     })
 }
 
@@ -168,7 +160,6 @@ fn solve_at_ii(
     machine: &Machine,
     ii: u32,
     opts: &SatOptions,
-    loop_deadline: Option<Instant>,
     stats: &mut SearchStats,
 ) -> IiOutcome {
     let Some(inst) = encode::build(lp, ddg, machine, ii) else {
@@ -176,15 +167,9 @@ fn solve_at_ii(
         // structural UNSAT proof, no search needed.
         return IiOutcome::Infeasible;
     };
-    let solve_deadline = opts.time_limit.map(|d| Instant::now() + d);
-    let deadline = match (solve_deadline, loop_deadline) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
     let budget = SolveBudget {
         conflict_limit: opts.conflict_limit,
         propagation_limit: opts.propagation_limit,
-        deadline,
     };
     let mut solver = Solver::new(&inst);
     let outcome = solver.solve(&budget, &opts.cancel);
@@ -277,7 +262,7 @@ mod tests {
         assert!(min_ii > 1);
         let mut stats = SatStats::default();
         let opts = SatOptions::default();
-        let out = solve_at_ii(&lp, &ddg, &m, min_ii - 1, &opts, None, &mut stats);
+        let out = solve_at_ii(&lp, &ddg, &m, min_ii - 1, &opts, &mut stats);
         assert!(matches!(out, IiOutcome::Infeasible));
     }
 
@@ -330,6 +315,43 @@ mod tests {
             Err(SatError::NoSchedule { deadline_hit, .. }) => assert!(deadline_hit),
             other => panic!("pre-cancelled search must fail transiently, got {other:?}"),
         }
+    }
+
+    /// A chain of 80 multiplies: every op needs its own decision, so a
+    /// solve reaches the solver's every-64-decisions poll before it can
+    /// finish.
+    fn chain() -> Loop {
+        let mut b = LoopBuilder::new("chain");
+        let a = b.invariant_f("a");
+        let x = b.array("x", 8);
+        let mut v = b.load(x, 0, 8);
+        for _ in 0..80 {
+            v = b.fmul(a, v);
+        }
+        b.store(x, 0, 8, v);
+        b.finish()
+    }
+
+    #[test]
+    fn an_expired_deadline_stops_the_solver_mid_search() {
+        let m = Machine::r8000();
+        let lp = chain();
+        let ddg = Ddg::build(&lp, &m);
+        let solve = |cancel: CancelToken| {
+            let opts = SatOptions {
+                cancel,
+                ..SatOptions::default()
+            };
+            let mut stats = SearchStats::default();
+            let outcome = solve_at_ii(&lp, &ddg, &m, ddg.min_ii(), &opts, &mut stats);
+            (outcome, stats.deadline_hit)
+        };
+        let (outcome, _) = solve(CancelToken::never());
+        assert!(matches!(outcome, IiOutcome::Schedule { .. }), "{outcome:?}");
+        let expired = CancelToken::with_deadline(std::time::Instant::now());
+        let (outcome, deadline_hit) = solve(expired);
+        assert!(matches!(outcome, IiOutcome::Unknown), "{outcome:?}");
+        assert!(deadline_hit);
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! IEEE doubles updated in a fixed order, and restarts follow the Luby
 //! sequence on conflict counts. Two runs of the same instance truncate at
 //! identical points — the property every differential and determinism
-//! test in this repository leans on. Only the optional wall-clock deadline
-//! and the cooperative cancel token break reproducibility, and both report
-//! themselves via [`SolveOutcome::Unknown`] `deadline_hit` so callers can
+//! test in this repository leans on. Only the cooperative cancel token
+//! (its flag or its deadline) breaks reproducibility, and it reports
+//! itself via [`SolveOutcome::Unknown`] `deadline_hit` so callers can
 //! refuse to memoize.
 
 use crate::encode::Instance;
-use std::time::Instant;
 use swp_obs::CancelToken;
 
 /// A literal: variable index shifted left, low bit = negated.
@@ -68,10 +67,10 @@ pub(crate) enum SolveOutcome {
     /// Proven unsatisfiable (conflict at decision level 0).
     Unsat,
     /// Budget ran out before a verdict. `deadline_hit` marks the
-    /// host-dependent truncations (wall clock or cancellation) as opposed
+    /// host-dependent truncations (the cancel token fired) as opposed
     /// to the deterministic conflict/propagation budgets.
     Unknown {
-        /// Wall-clock deadline or cancel token fired.
+        /// The cancel token's flag or deadline fired.
         deadline_hit: bool,
     },
 }
@@ -91,7 +90,6 @@ pub(crate) struct SolveStats {
 pub(crate) struct SolveBudget {
     pub conflict_limit: u64,
     pub propagation_limit: u64,
-    pub deadline: Option<Instant>,
 }
 
 const LUBY_UNIT: u64 = 64;
@@ -664,7 +662,7 @@ impl<'a> Solver<'a> {
                         deadline_hit: false,
                     };
                 }
-                if cancel.is_cancelled() || budget.deadline.is_some_and(|d| Instant::now() >= d) {
+                if cancel.is_cancelled() {
                     return SolveOutcome::Unknown { deadline_hit: true };
                 }
                 if self.stats.conflicts >= conflicts_until_restart {
@@ -687,8 +685,7 @@ impl<'a> Solver<'a> {
                 since_poll += 1;
                 if since_poll >= 64 {
                     since_poll = 0;
-                    if cancel.is_cancelled() || budget.deadline.is_some_and(|d| Instant::now() >= d)
-                    {
+                    if cancel.is_cancelled() {
                         return SolveOutcome::Unknown { deadline_hit: true };
                     }
                 }

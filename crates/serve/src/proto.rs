@@ -152,8 +152,12 @@ pub struct RequestBatch {
     pub batch_id: u64,
     /// Client name; the admission token bucket is keyed by it.
     pub client: String,
-    /// Per-loop wall-clock deadline in milliseconds; 0 = none. Deadline
-    /// results are never memoized or persisted (they are host-dependent).
+    /// Per-loop wall-clock deadline in milliseconds; 0 = none. Each loop
+    /// gets one deadline, counted from when its compile is looked up and
+    /// shared by the opt stage and every optimal backend the choice runs.
+    /// It is not part of the cache key, so a loop already compiled is
+    /// answered whatever the deadline. A result the deadline cut short is
+    /// never memoized or persisted (it is host-dependent).
     pub deadline_ms: u32,
     /// Which scheduler to run.
     pub choice: WireChoice,

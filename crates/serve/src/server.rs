@@ -12,9 +12,14 @@
 //!
 //! The compile key [`showdown::cache_key_with`] covers the loop, the
 //! machine, and *every* option that can change the result — including
-//! the demotion level via `start_rung` and any deadline. Aliasing runs
-//! one way only: a full-effort record may answer a demoted request, but
-//! a demoted or deadline-truncated compile is never looked up by a
+//! the demotion level via `start_rung`. A request's `deadline_ms` is not
+//! keyed: it becomes one cancel token per loop, shared by every optimal
+//! backend the choice runs, and a deadline that never fires cannot change
+//! a deterministic compile. So a request with a deadline is answered from
+//! the same records as one without. A compile its deadline does stop is
+//! marked `deadline_hit` and is neither memoized nor persisted. Aliasing
+//! across demotion runs one way only: a full-effort record may answer a
+//! demoted request, but a demoted compile is never looked up by a
 //! full-effort request, on disk or in memory.
 //!
 //! Fault posture: a client that sends garbage gets a structured error
@@ -31,14 +36,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use showdown::codec::{Fnv1a, Sink};
 use showdown::swp_most::MostOptions;
 use showdown::swp_sat::SatOptions;
 use showdown::{
-    cache_key_with, CacheStats, CompileOptions, CompiledLoop, LadderOptions, PortfolioOptions,
-    ScheduleCache, SchedulerChoice, Telemetry,
+    cache_key_with, CacheStats, CancelToken, CompileOptions, CompiledLoop, LadderOptions,
+    PortfolioOptions, ScheduleCache, SchedulerChoice, Telemetry,
 };
 use swp_ir::Loop;
 use swp_machine::{Machine, RegClass};
@@ -310,16 +315,26 @@ fn demote_sat(sat: &mut SatOptions) {
     sat.conflict_limit = sat.conflict_limit.min(5_000);
 }
 
-/// The compile a request asks for, at the admitted demotion level. A
-/// request deadline bounds every optimal backend the choice runs; the
-/// default budgets carry no wall limit of their own.
-fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
-    let deadline = (req.deadline_ms > 0).then(|| Duration::from_millis(u64::from(req.deadline_ms)));
+/// The stop signal for one loop of `req`: a token that expires
+/// `deadline_ms` from now, or the inert token when the request has no
+/// deadline.
+fn deadline_token(req: &RequestBatch) -> CancelToken {
+    if req.deadline_ms == 0 {
+        return CancelToken::never();
+    }
+    CancelToken::with_deadline(Instant::now() + Duration::from_millis(u64::from(req.deadline_ms)))
+}
+
+/// The compile a request asks for, at the admitted demotion level. The
+/// loop's `cancel` token, and with it the request deadline, bounds every
+/// optimal backend the choice runs; the default budgets carry no wall
+/// limit of their own.
+fn scheduler_for(req: &RequestBatch, demotion: u32, cancel: &CancelToken) -> SchedulerChoice {
     match req.choice {
         WireChoice::Ladder => {
             let mut opts = LadderOptions::default().demoted(demotion);
-            opts.most.loop_time_limit = deadline;
-            opts.sat.loop_time_limit = deadline;
+            opts.most.cancel = cancel.clone();
+            opts.sat.cancel = cancel.clone();
             SchedulerChoice::LadderWith(Box::new(opts))
         }
         WireChoice::Heuristic => SchedulerChoice::Heuristic,
@@ -329,7 +344,7 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
             if demotion == 1 {
                 demote_most(&mut most);
             }
-            most.loop_time_limit = deadline;
+            most.cancel = cancel.clone();
             SchedulerChoice::IlpWith(most)
         }
         WireChoice::Sat => {
@@ -337,7 +352,7 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
             if demotion == 1 {
                 demote_sat(&mut sat);
             }
-            sat.loop_time_limit = deadline;
+            sat.cancel = cancel.clone();
             SchedulerChoice::SatWith(sat)
         }
         WireChoice::Portfolio => {
@@ -348,16 +363,21 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
                 demote_most(&mut opts.most);
                 demote_sat(&mut opts.sat);
             }
-            opts.most.loop_time_limit = deadline;
-            opts.sat.loop_time_limit = deadline;
+            opts.most.cancel = cancel.clone();
+            opts.sat.cancel = cancel.clone();
             SchedulerChoice::PortfolioWith(Box::new(opts))
         }
     }
 }
 
-fn compile_options(shared: &Shared, req: &RequestBatch, demotion: u32) -> CompileOptions {
+fn compile_options(
+    shared: &Shared,
+    req: &RequestBatch,
+    demotion: u32,
+    cancel: &CancelToken,
+) -> CompileOptions {
     CompileOptions {
-        choice: scheduler_for(req, demotion),
+        choice: scheduler_for(req, demotion, cancel),
         verify: req.verify,
         opt: req.opt,
         telemetry: shared.telemetry.clone(),
@@ -390,7 +410,8 @@ fn compile_one(
     req: &RequestBatch,
     permit: &Permit<'_>,
 ) -> Result<LoopOk, String> {
-    let full = compile_options(shared, req, 0);
+    let cancel = deadline_token(req);
+    let full = compile_options(shared, req, 0, &cancel);
     let full_key = cache_key_with(lp, &shared.machine, &full);
     if let Some(answer) = lookup(shared, full_key, 0) {
         return answer;
@@ -399,7 +420,7 @@ fn compile_one(
     let (options, key) = if demotion == 0 {
         (full, full_key)
     } else {
-        let options = compile_options(shared, req, demotion);
+        let options = compile_options(shared, req, demotion, &cancel);
         let key = cache_key_with(lp, &shared.machine, &options);
         // Choices that ignore the level (the heuristic) share one key.
         if key != full_key {
@@ -492,13 +513,17 @@ mod tests {
 
     #[test]
     fn a_ladder_deadline_bounds_both_optimal_rungs() {
-        let SchedulerChoice::LadderWith(opts) = scheduler_for(&request(WireChoice::Ladder, 5), 0)
-        else {
+        let req = request(WireChoice::Ladder, 5);
+        let cancel = deadline_token(&req);
+        let at = cancel.deadline().expect("a 5 ms request gets a deadline");
+        let SchedulerChoice::LadderWith(opts) = scheduler_for(&req, 0, &cancel) else {
             panic!("a ladder request compiles down the ladder");
         };
-        let five = Some(Duration::from_millis(5));
-        assert_eq!(opts.most.loop_time_limit, five);
-        assert_eq!(opts.sat.loop_time_limit, five);
+        // One deadline for the loop, shared by both optimal rungs.
+        assert_eq!(opts.most.cancel.deadline(), Some(at));
+        assert_eq!(opts.sat.cancel.deadline(), Some(at));
+        assert_eq!(opts.heur.cancel.deadline(), None);
+        assert!(!deadline_token(&request(WireChoice::Ladder, 0)).is_real());
     }
 
     #[test]
@@ -518,22 +543,26 @@ mod tests {
         let sat = key(SchedulerChoice::SatWith(quick_sat_options()));
         assert_eq!(ladder, key(SchedulerChoice::LadderWith(Box::default())));
         assert_eq!(sat, key(SchedulerChoice::SatWith(SatOptions::default())));
-        // And like what the service itself compiles for an undemoted,
-        // deadline-free request.
-        assert_eq!(
-            ladder,
-            key(scheduler_for(&request(WireChoice::Ladder, 0), 0))
-        );
-        assert_eq!(sat, key(scheduler_for(&request(WireChoice::Sat, 0), 0)));
+        // And like what the service itself compiles for an undemoted
+        // request, with or without a deadline.
+        for deadline_ms in [0, 60_000] {
+            let for_choice = |choice| {
+                let req = request(choice, deadline_ms);
+                key(scheduler_for(&req, 0, &deadline_token(&req)))
+            };
+            assert_eq!(ladder, for_choice(WireChoice::Ladder));
+            assert_eq!(sat, for_choice(WireChoice::Sat));
+        }
     }
 
     #[test]
     fn demotion_one_keeps_the_sat_budget_cut() {
-        let SchedulerChoice::SatWith(sat) = scheduler_for(&request(WireChoice::Sat, 0), 1) else {
+        let req = request(WireChoice::Sat, 0);
+        let SchedulerChoice::SatWith(sat) = scheduler_for(&req, 1, &deadline_token(&req)) else {
             panic!("demotion 1 keeps the SAT backend");
         };
         assert_eq!(sat.loop_conflict_limit, Some(15_000));
         assert_eq!(sat.conflict_limit, 5_000);
-        assert_eq!(sat.loop_time_limit, None);
+        assert!(!sat.cancel.is_real(), "no deadline, no stop signal");
     }
 }

@@ -294,6 +294,26 @@ fn one_compile_budget() -> AdmissionOptions {
 }
 
 #[test]
+fn a_deadline_request_is_answered_by_the_deadline_free_compile() {
+    // The deadline is not part of the key: a loop already compiled
+    // without one answers a request with one, and nothing recompiles.
+    let root = fresh_root("deadline");
+    let server = start_server("deadline", &root, AdmissionOptions::default());
+    let lp = small_loop(31);
+    let plain = compile(&server, &ladder_request(1, "c", vec![lp.clone()]));
+    let misses = server.stats().cache.misses;
+    let timed = RequestBatch {
+        deadline_ms: 60_000,
+        ..ladder_request(2, "c", vec![lp])
+    };
+    assert_eq!(compile(&server, &timed), plain);
+    let stats = server.stats();
+    assert_eq!(stats.cache.misses, misses, "recompiled: {stats:?}");
+    assert_eq!(stats.cache.hits, 1, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn demoted_requests_never_alias_full_effort_store_entries() {
     // The demoted record exists first; a later full-effort request for
     // the same loop must not be answered by it, and compiles its own.

@@ -3,19 +3,22 @@
 //! semantics between sequential and pipelined-issue-order execution.
 
 use showdown::{compile_loop, SchedulerChoice};
-use std::time::Duration;
 use swp_ir::Ddg;
 use swp_machine::Machine;
 use swp_most::MostOptions;
 use swp_sim::interp::{run_pipelined, run_sequential};
 use swp_sim::simulate;
 
+/// Tight deterministic budgets: these tests need the ILP path bounded,
+/// not solved to the end, and the fallback covers what the leash cuts.
+/// An unoptimized pivot on a 20–36-op model costs about a millisecond,
+/// so those loops go straight to the fallback.
 fn quick_most() -> SchedulerChoice {
     SchedulerChoice::IlpWith(MostOptions {
         node_limit: 10_000,
-        time_limit: Some(Duration::from_millis(400)),
-        loop_time_limit: Some(Duration::from_secs(3)),
-        max_ops: 50,
+        pivot_limit: 2_000,
+        loop_pivot_limit: Some(4_000),
+        max_ops: 20,
         ..MostOptions::default()
     })
 }

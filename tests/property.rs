@@ -157,7 +157,8 @@ proptest! {
         let lp = random_loop(&small, seed);
         let opts = swp_most::MostOptions {
             node_limit: 5_000,
-            time_limit: Some(std::time::Duration::from_millis(500)),
+            pivot_limit: 2_000,
+            loop_pivot_limit: Some(4_000),
             fallback: false,
             ..swp_most::MostOptions::default()
         };

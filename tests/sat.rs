@@ -14,20 +14,17 @@ use showdown::{
     compile_loop, CompileOptions, Driver, OptLevel, PortfolioOptions, Rung, SchedulerChoice,
     Telemetry, VerifyLevel,
 };
-use std::time::Duration;
 use swp_ir::{Ddg, Loop};
 use swp_kernels::{random_loop, GenParams};
 use swp_machine::Machine;
 use swp_sat::{pipeline_sat, SatOptions};
 use swp_verify::audit;
 
+// The default budgets are work counts with no wall clock, so the tests
+// below reproduce exactly on any host (and the proptests minimize
+// cleanly).
 fn quick_sat() -> SatOptions {
-    SatOptions {
-        time_limit: Some(Duration::from_secs(2)),
-        loop_time_limit: Some(Duration::from_secs(6)),
-        fallback: false,
-        ..SatOptions::default()
-    }
+    SatOptions::default().without_fallback()
 }
 
 fn quick_most() -> swp_most::MostOptions {
@@ -149,12 +146,6 @@ fn params_strategy() -> impl Strategy<Value = (GenParams, u64)> {
         })
 }
 
-// The default budgets are work counts with no wall clock, so the
-// proptests below reproduce exactly on any host (and minimize cleanly).
-fn counted_sat() -> SatOptions {
-    SatOptions::default().without_fallback()
-}
-
 // Debug builds grind MOST's counted pivot budgets an order of magnitude
 // slower than release, so the differential proptest leashes MOST tighter
 // and runs fewer cases there. The budgets are still pure work counts:
@@ -193,7 +184,7 @@ proptest! {
         let m = Machine::r8000();
         let lp = random_loop(&p, seed);
         prop_assert!(lp.validate() == Ok(()));
-        let sat = pipeline_sat(&lp, &m, &counted_sat());
+        let sat = pipeline_sat(&lp, &m, &quick_sat());
         let most = swp_most::pipeline_most(&lp, &m, &counted_most());
         if let (Ok(s), Ok(o)) = (&sat, &most) {
             if s.stats.optimal_ii {
@@ -220,7 +211,7 @@ proptest! {
         let m = Machine::r8000();
         let lp = random_loop(&p, seed);
         prop_assert!(lp.validate() == Ok(()));
-        let choice = SchedulerChoice::SatWith(counted_sat());
+        let choice = SchedulerChoice::SatWith(quick_sat());
         if let Ok(c) = compile_loop(&lp, &m, &choice) {
             let report = audit(&c.code, &m, VerifyLevel::Full);
             prop_assert!(report.findings.is_empty(), "{}", report.render_human());

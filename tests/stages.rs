@@ -5,19 +5,23 @@
 //!   literal values. The keys are also the disk store's record names, so
 //!   a store written by an older binary stays reachable only while these
 //!   values hold.
-//! - The default budgets carry no wall clock, so a default compile is
-//!   host-independent and the cache may memoize it.
+//! - The default options carry an inert cancel token and no wall clock,
+//!   so a default compile is host-independent and the cache may memoize
+//!   it. A token's deadline is no part of the key.
+//! - A token's deadline stops an ILP solve in flight, not just the next
+//!   II.
 //! - The taint rule: a stage ranked above the winner that hit a
 //!   wall-clock deadline makes *which* stage won host-dependent, so the
 //!   shipped result carries `deadline_hit` and the cache never memoizes
 //!   it. Both run modes (sequential ladder, raced portfolio) obey it.
 
 use showdown::{
-    cache_key_with, compile_loop, CacheStats, ChaosFault, ChaosOptions, CompileOptions, Corruption,
-    LadderOptions, OptLevel, PortfolioOptions, Rung, ScheduleCache, SchedulerChoice, VerifyLevel,
+    cache_key_with, compile_loop, CacheStats, CancelToken, ChaosFault, ChaosOptions, CompileError,
+    CompileOptions, Corruption, LadderOptions, OptLevel, PortfolioOptions, Rung, ScheduleCache,
+    SchedulerChoice, VerifyLevel,
 };
-use std::time::Duration;
-use swp_heur::HeurOptions;
+use std::time::{Duration, Instant};
+use swp_heur::{HeurOptions, SearchError};
 use swp_ir::{Loop, LoopBuilder};
 use swp_machine::Machine;
 use swp_most::MostOptions;
@@ -113,19 +117,19 @@ fn cache_keys_are_pinned() {
     let expected: [u64; 15] = [
         0x5150_f3ed_2d6a_ace3, // heuristic
         0x78f6_56f0_c19f_b1c1, // heuristic-with
-        0x7bd6_d1db_7f0d_d8f2, // ilp
-        0x7bd6_d1db_7f0d_d8f2, // ilp-with
-        0x1788_1b94_3169_acb3, // sat
-        0x1788_1b94_3169_acb3, // sat-with
-        0xcca7_771f_6184_c3bd, // ladder
-        0xcca7_771f_6184_c3bd, // ladder-with
-        0x4c9c_184f_ebef_880f, // portfolio
-        0x4c9c_184f_ebef_880f, // portfolio-with
-        0xfbbc_d04c_0045_0384, // ladder-demoted-1
-        0xd963_84f1_74f5_a80e, // ladder-demoted-2
-        0x5866_8aa9_d1ee_1465, // ladder-chaos
-        0x2d66_d1ba_1c44_a1fe, // portfolio-no-ilp
-        0xccae_451f_618a_8d75, // ladder-verified-opt
+        0x73eb_8639_b43b_c7ca, // ilp
+        0x73eb_8639_b43b_c7ca, // ilp-with
+        0xbfb3_26d6_46fa_e2a1, // sat
+        0xbfb3_26d6_46fa_e2a1, // sat-with
+        0x4e7a_9592_950a_a81b, // ladder
+        0x4e7a_9592_950a_a81b, // ladder-with
+        0xe7b0_ed9b_bc0d_82f9, // portfolio
+        0xe7b0_ed9b_bc0d_82f9, // portfolio-with
+        0x7807_6dc2_cafa_eb9e, // ladder-demoted-1
+        0x4ff6_fda7_522d_ee74, // ladder-demoted-2
+        0x0c8d_fda4_4c62_1a57, // ladder-chaos
+        0x0d7d_18be_dc93_64dc, // portfolio-no-ilp
+        0x4e73_c792_9504_de63, // ladder-verified-opt
     ];
     let actual: Vec<u64> = requests
         .iter()
@@ -142,12 +146,12 @@ fn cache_keys_are_pinned() {
 }
 
 #[test]
-fn the_default_budgets_set_no_wall_clock() {
+fn the_default_budgets_carry_an_inert_token() {
     let most = MostOptions::default();
-    assert_eq!((most.time_limit, most.loop_time_limit), (None, None));
+    assert!(!most.cancel.is_real(), "no stop signal, no wall clock");
     assert!(most.loop_pivot_limit.is_some(), "a loop is bounded by work");
     let sat = SatOptions::default();
-    assert_eq!((sat.time_limit, sat.loop_time_limit), (None, None));
+    assert!(!sat.cancel.is_real(), "no stop signal, no wall clock");
     assert!(
         sat.loop_conflict_limit.is_some(),
         "a loop is bounded by work"
@@ -230,16 +234,71 @@ fn cache_key_equivalence_classes_are_pinned() {
         ..SchedulerChoice::Ladder.into()
     };
     assert_eq!(key(&lp, traced), plain);
+    // A deadline is no part of a request's identity either.
+    let mut timed = LadderOptions::default();
+    timed.most.cancel = CancelToken::with_deadline(Instant::now() + Duration::from_secs(60));
+    timed.sat.cancel = timed.most.cancel.clone();
+    assert_eq!(
+        key(&lp, SchedulerChoice::LadderWith(Box::new(timed)).into()),
+        plain
+    );
+    let timed_ilp = MostOptions {
+        cancel: CancelToken::with_deadline(Instant::now()),
+        ..MostOptions::default()
+    };
+    assert_eq!(
+        key(&lp, SchedulerChoice::IlpWith(timed_ilp).into()),
+        key(&lp, SchedulerChoice::Ilp.into())
+    );
+}
+
+/// mdljsp2 `force` spends about 53 s of default-budget ILP before its
+/// feasibility search gives up, most of it inside single solves. A token
+/// that expires 100 ms in must stop the solve in flight, not only the
+/// next II.
+#[test]
+fn a_token_deadline_stops_an_ilp_solve_in_flight() {
+    let suites = swp_kernels::spec_suites();
+    let force = suites
+        .iter()
+        .find(|s| s.name == "mdljsp2")
+        .map(|s| &s.loops[0].body)
+        .expect("mdljsp2 is a spec suite");
+    // The optimized build answers within 2 s. An unoptimized build
+    // builds the model and pivots between polls about ten times slower,
+    // so it gets a looser bound.
+    let bound = Duration::from_secs(if cfg!(debug_assertions) { 5 } else { 2 });
+    let start = Instant::now();
+    let opts = MostOptions {
+        fallback: false,
+        cancel: CancelToken::with_deadline(start + Duration::from_millis(100)),
+        ..MostOptions::default()
+    };
+    let r = compile_loop(force, &Machine::r8000(), &SchedulerChoice::IlpWith(opts));
+    let took = start.elapsed();
+    assert!(
+        matches!(
+            r,
+            Err(CompileError::Ilp(SearchError::NoSchedule {
+                deadline_hit: true,
+                ..
+            }))
+        ),
+        "{:?}",
+        r.map(|c| c.stats)
+    );
+    assert!(took < bound, "stopped after {took:?}, bound {bound:?}");
 }
 
 #[test]
 fn a_deadline_above_the_winner_taints_both_modes() {
     let m = Machine::r8000();
     let lp = saxpy();
+    let expired = CancelToken::with_deadline(Instant::now());
     let mut ladder = LadderOptions::default();
-    ladder.most.loop_time_limit = Some(Duration::ZERO);
+    ladder.most.cancel = expired.clone();
     let mut portfolio = PortfolioOptions::default();
-    portfolio.most.loop_time_limit = Some(Duration::ZERO);
+    portfolio.most.cancel = expired;
     for choice in [
         SchedulerChoice::LadderWith(Box::new(ladder)),
         SchedulerChoice::PortfolioWith(Box::new(portfolio)),
