@@ -1,4 +1,11 @@
 //! Data dependence graph, SCCs, MinII, and longest-path tables.
+//!
+//! Every dependence cycle lies inside one strongly connected component, so
+//! all cycle work here is local to a component, as in §2.4 of the paper,
+//! which keeps its longest-path tables only inside SCCs. RecMII
+//! binary-searches each nontrivial SCC on its own, and [`LongestPaths`]
+//! runs Floyd–Warshall per SCC before extending each row across the
+//! acyclic condensation. A loop with no recurrence pays no cubic term.
 
 use crate::deps::memory_deps;
 use crate::op::{Loop, OpId, ValueId};
@@ -85,6 +92,8 @@ pub struct Ddg {
     preds: Vec<Vec<usize>>,
     sccs: Vec<Scc>,
     scc_of: Vec<SccId>,
+    /// Position of each op in its component's `members`.
+    scc_pos: Vec<usize>,
     res_mii: u32,
     rec_mii: u32,
 }
@@ -111,7 +120,11 @@ impl Ddg {
             }
         }
         edges.extend(memory_deps(lp));
+        Ddg::from_edges(n, edges, machine.res_mii(&lp.class_counts()))
+    }
 
+    /// The graph over `n` ops with the given arcs: adjacency, SCCs, RecMII.
+    fn from_edges(n: usize, edges: Vec<DepEdge>, res_mii: u32) -> Ddg {
         let mut succs = vec![Vec::new(); n];
         let mut preds = vec![Vec::new(); n];
         for (i, e) in edges.iter().enumerate() {
@@ -120,7 +133,12 @@ impl Ddg {
         }
 
         let (sccs, scc_of) = tarjan(n, &edges, &succs);
-        let res_mii = machine.res_mii(&lp.class_counts());
+        let mut scc_pos = vec![0; n];
+        for scc in &sccs {
+            for (pos, m) in scc.members.iter().enumerate() {
+                scc_pos[m.index()] = pos;
+            }
+        }
         let mut ddg = Ddg {
             n,
             edges,
@@ -128,6 +146,7 @@ impl Ddg {
             preds,
             sccs,
             scc_of,
+            scc_pos,
             res_mii,
             rec_mii: 1,
         };
@@ -191,40 +210,108 @@ impl Ddg {
         self.res_mii.max(self.rec_mii)
     }
 
-    /// Smallest II at which no dependence cycle has positive slack demand,
-    /// found by binary search with positive-cycle detection.
+    /// RecMII: the smallest II at which no dependence cycle has positive
+    /// weight. Each nontrivial SCC is binary-searched on its own, between 1
+    /// and the latency sum of its internal arcs, with [`Ddg::scc_table`] as
+    /// the positive-cycle test. RecMII is the largest answer, or 1 without
+    /// a recurrence. The cost is Σ|S|³·log(hi) over the SCCs, where a
+    /// whole-graph search would pay n³·log(Σ latency) even on a loop with
+    /// no cycle.
     fn compute_rec_mii(&self) -> u32 {
-        let mut lo = 1u32;
-        let mut hi = self
-            .edges
-            .iter()
-            .map(|e| e.latency.max(0) as u32)
-            .sum::<u32>()
-            .max(1);
-        if LongestPaths::compute(self, hi).is_none() {
-            // Defensive: with all latencies summed, any simple cycle with
-            // distance ≥ 1 fits; this should be unreachable.
-            return hi;
+        let mut rec_mii = 1;
+        for scc in self.sccs.iter().filter(|s| s.nontrivial) {
+            let mut lo = 1u32;
+            let mut hi = latency_sum(self.internal_arcs(scc));
+            if self.scc_table(scc, hi).is_none() {
+                // Defensive: at its own latency sum every cycle with
+                // distance ≥ 1 fits, so only a zero-distance positive cycle
+                // lands here; this should be unreachable.
+                return latency_sum(self.edges.iter());
+            }
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.scc_table(scc, mid).is_some() {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            rec_mii = rec_mii.max(lo);
         }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if LongestPaths::compute(self, mid).is_some() {
-                hi = mid;
-            } else {
-                lo = mid + 1;
+        rec_mii
+    }
+
+    /// The arcs with both ends in `scc`.
+    fn internal_arcs<'a>(&'a self, scc: &'a Scc) -> impl Iterator<Item = &'a DepEdge> + 'a {
+        scc.members
+            .iter()
+            .flat_map(move |&m| self.succ_edges(m))
+            .filter(move |e| self.scc_of(e.to) == scc.id)
+    }
+
+    /// Longest paths between the members of `scc` at `ii`, over its
+    /// internal arcs: an `|S|×|S|` table indexed by position in `members`
+    /// (`NEG_INF` where unreachable), or `None` if the component has a
+    /// positive cycle. It is exact for every pair of members, since a path
+    /// between two members of one component never leaves it.
+    fn scc_table(&self, scc: &Scc, ii: u32) -> Option<Vec<i64>> {
+        let k = scc.members.len();
+        let mut dist = vec![NEG_INF; k * k];
+        for e in self.internal_arcs(scc) {
+            let cell = &mut dist[self.scc_pos[e.from.index()] * k + self.scc_pos[e.to.index()]];
+            *cell = (*cell).max(weight(e, ii));
+        }
+        // Floyd–Warshall for longest paths (weights may be negative).
+        for m in 0..k {
+            for i in 0..k {
+                let dim = dist[i * k + m];
+                if dim <= NEG_INF {
+                    continue;
+                }
+                for j in 0..k {
+                    let dmj = dist[m * k + j];
+                    if dmj <= NEG_INF {
+                        continue;
+                    }
+                    let cand = dim + dmj;
+                    if cand > dist[i * k + j] {
+                        dist[i * k + j] = cand;
+                    }
+                }
             }
         }
-        lo
+        (0..k).all(|i| dist[i * k + i] <= 0).then_some(dist)
     }
 }
 
+/// `Σ max(latency, 0)` over `arcs`, at least 1: an II at which every cycle
+/// with distance ≥ 1 among them fits.
+fn latency_sum<'a>(arcs: impl Iterator<Item = &'a DepEdge>) -> u32 {
+    arcs.map(|e| e.latency.max(0) as u32).sum::<u32>().max(1)
+}
+
+/// The scheduling weight of an arc at `ii`: `latency − ii·distance`.
+fn weight(e: &DepEdge, ii: u32) -> i64 {
+    e.latency - i64::from(ii) * i64::from(e.distance)
+}
+
 /// All-pairs longest paths in the II-parametric constraint graph
-/// (arc weight `latency − II·distance`), used for legal-range computation
-/// inside SCCs (§2.4 step 2a of the paper keeps exactly this table).
+/// (arc weight `latency − II·distance`), used for legal-range computation.
+///
+/// §2.4 step 2a of the paper keeps this table inside SCCs, because every
+/// recurrence lies inside one, and the computation follows it:
+/// Floyd–Warshall runs per component over its internal arcs. Each
+/// source's row then crosses the condensation DAG in topological order,
+/// taking the best arc into each component and the best route through its
+/// local table, so [`LongestPaths::get`] still answers every pair,
+/// cross-component ones included. The cost is Σ|S|³ + n·(E + Σ|S|²)
+/// rather than a whole-graph n³; a loop without recurrences pays only the
+/// DAG passes. Longest paths are exact integer maxima, so every value is
+/// the one whole-graph Floyd–Warshall gives.
 #[derive(Debug, Clone)]
 pub struct LongestPaths {
     n: usize,
-    /// `dist[i*n + j]` = longest path weight i→j, `i64::MIN` if unreachable.
+    /// `dist[i*n + j]` = longest path weight i→j, `NEG_INF` if unreachable.
     dist: Vec<i64>,
 }
 
@@ -235,41 +322,59 @@ impl LongestPaths {
     /// positive-weight cycle, i.e. the II is below RecMII (infeasible).
     pub fn compute(ddg: &Ddg, ii: u32) -> Option<LongestPaths> {
         let n = ddg.len();
+        let tables = ddg
+            .sccs
+            .iter()
+            .map(|scc| ddg.scc_table(scc, ii))
+            .collect::<Option<Vec<_>>>()?;
         let mut dist = vec![NEG_INF; n * n];
-        for e in ddg.edges() {
-            let w = e.latency - i64::from(ii) * i64::from(e.distance);
-            let cell = &mut dist[e.from.index() * n + e.to.index()];
-            *cell = (*cell).max(w);
-        }
-        // Floyd–Warshall for longest paths (weights may be negative).
-        for k in 0..n {
-            for i in 0..n {
-                let dik = dist[i * n + k];
-                if dik <= NEG_INF {
-                    continue;
-                }
-                for j in 0..n {
-                    let dkj = dist[k * n + j];
-                    if dkj <= NEG_INF {
-                        continue;
-                    }
-                    let cand = dik + dkj;
-                    if cand > dist[i * n + j] {
-                        dist[i * n + j] = cand;
-                    }
+        let mut entry = Vec::new();
+        for src in 0..n {
+            let row = &mut dist[src * n..(src + 1) * n];
+            // Inside its own component the row is the local table's.
+            let own = ddg.scc_of[src].index();
+            let members = &ddg.sccs[own].members;
+            let at = ddg.scc_pos[src] * members.len();
+            for (j, m) in members.iter().enumerate() {
+                row[m.index()] = tables[own][at + j];
+            }
+            // Leaving the source itself, the empty path (0) beats its
+            // cycles (≤ 0); the diagonal goes back in at the end.
+            let diagonal = std::mem::replace(&mut row[src], 0);
+            // Tarjan emits successors first, so every component reachable
+            // from `own` has a smaller index: walk them in topological order.
+            for c in (0..own).rev() {
+                let members = &ddg.sccs[c].members;
+                // The best arc into each member from outside the component...
+                entry.clear();
+                entry.extend(members.iter().map(|&v| {
+                    ddg.pred_edges(v)
+                        .filter(|e| {
+                            ddg.scc_of(e.from).index() != c && row[e.from.index()] > NEG_INF
+                        })
+                        .map(|e| row[e.from.index()] + weight(e, ii))
+                        .max()
+                        .unwrap_or(NEG_INF)
+                }));
+                // ...then the best route on through the local table.
+                let k = members.len();
+                for (j, v) in members.iter().enumerate() {
+                    row[v.index()] = entry
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, &d)| d > NEG_INF && tables[c][i * k + j] > NEG_INF)
+                        .map(|(i, &d)| d + tables[c][i * k + j])
+                        .fold(entry[j], i64::max);
                 }
             }
-        }
-        for i in 0..n {
-            if dist[i * n + i] > 0 {
-                return None;
-            }
+            row[src] = diagonal;
         }
         Some(LongestPaths { n, dist })
     }
 
     /// Longest path weight from `a` to `b`, or `None` if `b` is not
-    /// reachable from `a`.
+    /// reachable from `a`. On the diagonal this is the heaviest cycle
+    /// through `a`, and `None` for an op on no cycle.
     pub fn get(&self, a: OpId, b: OpId) -> Option<i64> {
         let d = self.dist[a.index() * self.n + b.index()];
         (d > NEG_INF).then_some(d)
@@ -370,6 +475,38 @@ mod tests {
         b.finish()
     }
 
+    /// A graph straight from `(from, to, latency, distance)` arcs.
+    fn graph(n: usize, arcs: &[(u32, u32, i64, u32)]) -> Ddg {
+        let edges = arcs
+            .iter()
+            .map(|&(from, to, latency, distance)| DepEdge {
+                from: OpId(from),
+                to: OpId(to),
+                latency,
+                distance,
+                kind: DepKind::MemTrue,
+            })
+            .collect();
+        Ddg::from_edges(n, edges, 1)
+    }
+
+    /// Op 0 feeds the cycle 1 → 2 → 3 → 1 (latency 8 over distance 1),
+    /// which feeds op 4; two shortcuts skip part of the cycle.
+    fn through_cycle() -> Ddg {
+        graph(
+            5,
+            &[
+                (0, 1, 2, 0),
+                (0, 3, 1, 0),
+                (1, 2, 3, 0),
+                (2, 3, 4, 0),
+                (3, 1, 1, 1),
+                (3, 4, 5, 0),
+                (1, 4, 1, 0),
+            ],
+        )
+    }
+
     #[test]
     fn dot_product_recurrence() {
         let m = Machine::r8000();
@@ -448,5 +585,46 @@ mod tests {
         b.close(s, s1, 2);
         let ddg = Ddg::build(&b.finish(), &m);
         assert_eq!(ddg.rec_mii(), 2);
+    }
+
+    #[test]
+    fn longest_path_crosses_three_components() {
+        let ddg = through_cycle();
+        assert_eq!(ddg.sccs().len(), 3);
+        assert_eq!(ddg.rec_mii(), 8);
+        let op = OpId;
+        let lps = LongestPaths::compute(&ddg, 8).expect("feasible at RecMII");
+        // 0 → 1 → 2 → 3 → 4 beats both shortcuts (0 → 3 → 4 = 6, 0 → 1 → 4 = 3).
+        assert_eq!(lps.get(op(0), op(4)), Some(2 + 3 + 4 + 5));
+        // Into the cycle and around its back arc: 0 → 1 → 2 → 3 → 1 = 2 + 0.
+        assert_eq!(lps.get(op(0), op(1)), Some(2));
+        assert_eq!(lps.get(op(2), op(1)), Some(4 + 1 - 8));
+        assert_eq!(lps.get(op(4), op(0)), None);
+        assert_eq!(lps.get(op(1), op(0)), None);
+        assert!(LongestPaths::compute(&ddg, 7).is_none());
+    }
+
+    #[test]
+    fn zero_distance_positive_cycle_keeps_the_defensive_rec_mii() {
+        // 0 ⇄ 1 at distance 0 has weight 5 at every II; the arc 1 → 2 lies
+        // outside it, so the component's own latency sum (5) is not the
+        // whole graph's (12).
+        let ddg = graph(3, &[(0, 1, 2, 0), (1, 0, 3, 0), (1, 2, 7, 0)]);
+        assert_eq!(ddg.rec_mii(), 12);
+        assert!(LongestPaths::compute(&ddg, 12).is_none());
+    }
+
+    #[test]
+    fn diagonal_is_the_cycle_weight_on_a_cycle_and_none_off_it() {
+        let ddg = through_cycle();
+        let op = OpId;
+        for ii in [8, 9, 12] {
+            let lps = LongestPaths::compute(&ddg, ii).expect("feasible");
+            assert_eq!(lps.get(op(0), op(0)), None);
+            assert_eq!(lps.get(op(4), op(4)), None);
+            for i in 1..=3 {
+                assert_eq!(lps.get(op(i), op(i)), Some(8 - i64::from(ii)));
+            }
+        }
     }
 }

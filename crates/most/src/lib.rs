@@ -75,9 +75,13 @@ pub struct MostOptions {
     /// Fall back to the heuristic pipeliner when MOST fails (§4.4).
     pub fallback: bool,
     /// Total simplex pivots across the whole II ladder. Once the ladder
-    /// has spent this many pivots, no further II is attempted (the solve
-    /// in flight still completes, so the overshoot is at most one
-    /// `pivot_limit`). Without it, a loop whose schedules keep failing
+    /// has spent this many pivots, no further II is attempted. The cap is
+    /// checked only between IIs, so the II in flight still completes, and
+    /// one II runs up to two solves per branch order (feasibility, then
+    /// buffers) of up to `pivot_limit` pivots each: with the four priority
+    /// orders the overshoot can reach eight `pivot_limit`s (mdljsp2
+    /// `force` spends 1,600,000 pivots against the default 1,200,000).
+    /// Without it, a loop whose schedules keep failing
     /// register allocation retries every II up to MaxII at full budget —
     /// and the only way to bound that was wall clock, which the
     /// deterministic defaults must not depend on.
