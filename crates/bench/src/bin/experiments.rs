@@ -300,6 +300,12 @@ fn main() {
             c.ilp,
             c.ratio()
         );
+        if let (Some(h), Some(i), Some(r)) = (c.heuristic_cpu, c.ilp_cpu, c.cpu_ratio()) {
+            eprintln!(
+                "thread CPU time: heuristic {h:?}, ILP {i:?}; ratio {r:.0}x (wall {:.0}x)",
+                c.ratio()
+            );
+        }
         writeln!(o);
     }
 

@@ -289,15 +289,37 @@ pub struct CompileSpeed {
     /// Wall-clock in the ILP scheduler (no fallback, so failures burn
     /// their full budget as in the paper's 3-minute limit).
     pub ilp: Duration,
+    /// Thread CPU time in the heuristic scheduler, kept like `heuristic`
+    /// (fastest run per loop); `None` without a thread CPU clock.
+    pub heuristic_cpu: Option<Duration>,
+    /// Thread CPU time in the ILP scheduler.
+    pub ilp_cpu: Option<Duration>,
     /// Loops measured.
     pub loops: usize,
 }
 
 impl CompileSpeed {
-    /// The paper's ratio (67,634 s / 261 s ≈ 260×).
+    /// The paper's ratio (67,634 s / 261 s ≈ 260×), from wall-clock time.
     pub fn ratio(&self) -> f64 {
         self.ilp.as_secs_f64() / self.heuristic.as_secs_f64().max(1e-9)
     }
+
+    /// The same ratio from thread CPU time, which leaves out the time the
+    /// host kept either scheduler waiting for a CPU.
+    pub fn cpu_ratio(&self) -> Option<f64> {
+        Some(self.ilp_cpu?.as_secs_f64() / self.heuristic_cpu?.as_secs_f64().max(1e-9))
+    }
+}
+
+/// Wall-clock and thread CPU time of one call (CPU `None` without a
+/// thread CPU clock).
+fn timed(f: impl FnOnce()) -> (Duration, Option<Duration>) {
+    let cpu0 = swp_obs::thread_cpu_time();
+    let t0 = Instant::now();
+    f();
+    let wall = t0.elapsed();
+    let cpu = swp_obs::thread_cpu_time().zip(cpu0).map(|(b, a)| b - a);
+    (wall, cpu)
 }
 
 /// Heuristic runs per loop [`compile_speed`] times; it keeps the fastest.
@@ -313,22 +335,31 @@ pub fn compile_speed(machine: &Machine) -> CompileSpeed {
         .collect();
     let most_opts = MostOptions::default().without_fallback();
     let (mut heuristic, mut ilp) = (Duration::ZERO, Duration::ZERO);
+    let (mut heuristic_cpu, mut ilp_cpu) = (Some(Duration::ZERO), Some(Duration::ZERO));
+    let add = |sum: &mut Option<Duration>, d: Option<Duration>| {
+        *sum = sum.zip(d).map(|(s, d)| s + d);
+    };
     for lp in &loops {
-        heuristic += (0..HEURISTIC_PASSES)
+        let runs: Vec<_> = (0..HEURISTIC_PASSES)
             .map(|_| {
-                let t0 = Instant::now();
-                let _ = swp_heur::pipeline(lp, machine, &HeurOptions::default());
-                t0.elapsed()
+                timed(|| {
+                    let _ = swp_heur::pipeline(lp, machine, &HeurOptions::default());
+                })
             })
-            .min()
-            .expect("at least one run");
-        let t0 = Instant::now();
-        let _ = swp_most::pipeline_most(lp, machine, &most_opts);
-        ilp += t0.elapsed();
+            .collect();
+        heuristic += runs.iter().map(|r| r.0).min().expect("at least one run");
+        add(&mut heuristic_cpu, runs.iter().map(|r| r.1).min().flatten());
+        let (wall, cpu) = timed(|| {
+            let _ = swp_most::pipeline_most(lp, machine, &most_opts);
+        });
+        ilp += wall;
+        add(&mut ilp_cpu, cpu);
     }
     CompileSpeed {
         heuristic,
         ilp,
+        heuristic_cpu,
+        ilp_cpu,
         loops: loops.len(),
     }
 }
@@ -801,6 +832,9 @@ pub struct SolverRow {
     pub ii: Option<u32>,
     /// Branch-and-bound nodes across all solves for this kernel.
     pub nodes: u64,
+    /// Nodes whose LP bound could not beat the incumbent, so their
+    /// subtrees were cut off.
+    pub prunes: u64,
     /// Simplex pivots across all solves for this kernel.
     pub pivots: u64,
     /// `B⁻¹` refactorizations across all solves for this kernel.
@@ -831,12 +865,13 @@ impl SolverSpeed {
              (deterministic quick budgets, fallback off — counters reproduce exactly)\n",
         );
         out += &format!(
-            "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>8} {:>6} {:>7}\n",
+            "{:<4} {:<28} {:>4} {:>6} {:>8} {:>8} {:>10} {:>10} {:>8} {:>6} {:>8} {:>6} {:>7}\n",
             "k",
             "name",
             "ops",
             "ii",
             "nodes",
+            "prunes",
             "pivots",
             "piv/node",
             "refacts",
@@ -851,12 +886,13 @@ impl SolverSpeed {
                 .buffers
                 .map_or("-", |b| if b.optimal { "yes" } else { "no" });
             out += &format!(
-                "{:<4} {:<28} {:>4} {:>6} {:>8} {:>10} {:>10.2} {:>8} {:>6} {:>8} {:>6} {:>7}\n",
+                "{:<4} {:<28} {:>4} {:>6} {:>8} {:>8} {:>10} {:>10.2} {:>8} {:>6} {:>8} {:>6} {:>7}\n",
                 r.number,
                 r.name,
                 r.ops,
                 dash(r.ii),
                 r.nodes,
+                r.prunes,
                 r.pivots,
                 r.pivots as f64 / r.nodes.max(1) as f64,
                 r.refactorizations,
@@ -867,6 +903,7 @@ impl SolverSpeed {
             );
         }
         let nodes: u64 = self.rows.iter().map(|r| r.nodes).sum();
+        let prunes: u64 = self.rows.iter().map(|r| r.prunes).sum();
         let pivots: u64 = self.rows.iter().map(|r| r.pivots).sum();
         let refactorizations: u64 = self.rows.iter().map(|r| r.refactorizations).sum();
         let bound_flips: u64 = self.rows.iter().map(|r| r.bound_flips).sum();
@@ -882,7 +919,7 @@ impl SolverSpeed {
             .filter(|r| r.buffers.is_some_and(|b| b.optimal))
             .count();
         out += &format!(
-            "solved {}/{}; total {nodes} nodes, {pivots} pivots; {:.2} pivots/node; \
+            "solved {}/{}; total {nodes} nodes, {prunes} prunes, {pivots} pivots; {:.2} pivots/node; \
              {refactorizations} refactorizations, {bound_flips} bound flips, {buffers} buffers; \
              {proved} buffer totals proved minimal\n",
             self.rows.iter().filter(|r| r.ii.is_some()).count(),
@@ -895,7 +932,7 @@ impl SolverSpeed {
 
 /// The `experiments solver` table: run MOST (fallback disabled) over the
 /// 24 Livermore kernels under smoke-test-sized deterministic budgets and
-/// record node, pivot, refactorization and bound-flip work and the
+/// record node, prune, pivot, refactorization and bound-flip work and the
 /// accepted schedule's buffer total, its proven floor and whether the
 /// buffer solve proved it minimal, per kernel. The budgets are deliberately
 /// tighter than the defaults: a gate must be cheap enough to run
@@ -903,7 +940,7 @@ impl SolverSpeed {
 /// budget size.
 ///
 /// The work counters are read from the [`swp_obs`] counter registry
-/// ([`Counter::IlpNodes`], [`Counter::IlpPivots`],
+/// ([`Counter::IlpNodes`], [`Counter::IlpPrunes`], [`Counter::IlpPivots`],
 /// [`Counter::IlpRefactorizations`] and [`Counter::IlpBoundFlips`] deltas
 /// around each kernel) rather than from private solver fields, so the gate exercises
 /// the same telemetry path every other consumer sees. With fallback off,
@@ -930,6 +967,7 @@ pub fn solver_speed(machine: &Machine) -> SolverSpeed {
                 ops: k.body.len(),
                 ii: outcome.as_ref().map(|r| r.ii()),
                 nodes: work.get(Counter::IlpNodes),
+                prunes: work.get(Counter::IlpPrunes),
                 pivots: work.get(Counter::IlpPivots),
                 refactorizations: work.get(Counter::IlpRefactorizations),
                 bound_flips: work.get(Counter::IlpBoundFlips),

@@ -9,6 +9,17 @@
 //! only stop that depends on the wall clock, and it is reported separately
 //! via [`IlpResult::deadline_hit`] so callers can tell host-dependent
 //! truncation apart from the reproducible budgets.
+//!
+//! A node is pruned when its LP bound cannot beat the incumbent. When the
+//! objective is integral — every objective term sits on a binary or
+//! integer variable with an integral coefficient, as in MOST's buffer
+//! count — a better solution must beat the incumbent by a whole unit: a
+//! node is pruned once its bound exceeds incumbent − 1 + 1e-6 (minimizing;
+//! mirrored when maximizing), and the engine's cutoff is armed one unit
+//! below the incumbent. Any other objective is pruned at
+//! bound ≥ incumbent − 1e-9 with the cutoff at the incumbent. The optimal
+//! value is the same under either rule; the nodes searched, and so which
+//! of several equally good solutions is returned, are not.
 
 use crate::model::{ConstraintOp, Model, Sense, VarId, VarKind};
 use crate::simplex::{Budget, LpEngine, LpOutcome, LpSolution};
@@ -66,11 +77,13 @@ pub struct SolveOptions {
     /// A proven bound on every integral objective value: a lower bound
     /// when minimizing, an upper bound when maximizing. The search ends
     /// with [`Status::Optimal`] as soon as the warm start or a new
-    /// incumbent reaches it. It never prunes: an incumbent is replaced
-    /// only by a strictly better one, so an incumbent at a valid floor is
-    /// the one the unstopped search would also have returned, bit for
-    /// bit. A floor that is not a true bound is the caller's bug — the
-    /// search would stop at a non-optimal incumbent and call it optimal.
+    /// incumbent reaches it. It never prunes: nodes are pruned only
+    /// against the incumbent (by a whole unit when the objective is
+    /// integral, see the module docs), and an incumbent is replaced only
+    /// by a strictly better one, so an incumbent at a valid floor is the
+    /// one the unstopped search would also have returned, bit for bit. A
+    /// floor that is not a true bound is the caller's bug — the search
+    /// would stop at a non-optimal incumbent and call it optimal.
     pub objective_floor: Option<f64>,
 }
 
@@ -165,14 +178,31 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
     }
     let mut stack: Vec<Frame> = Vec::new();
 
+    // An objective carried only by integer variables with integral
+    // coefficients takes integral values at every integral point, so a
+    // better solution must beat the incumbent by a whole unit.
+    let integral = model
+        .objective
+        .iter()
+        .all(|&(v, c)| model.vars[v.index()].kind != VarKind::Continuous && c == c.round());
     // Returns true when a should replace b as incumbent.
     let better = |a: f64, b: f64| if minimize { a < b - 1e-9 } else { a > b + 1e-9 };
     // Returns true when relaxation bound cannot beat the incumbent.
-    let dominated = |bound: f64, inc: f64| {
-        if minimize {
-            bound >= inc - 1e-9
+    let dominated = |bound: f64, inc: f64| match (minimize, integral) {
+        (true, false) => bound >= inc - 1e-9,
+        (false, false) => bound <= inc + 1e-9,
+        (true, true) => bound > inc - 1.0 + 1e-6,
+        (false, true) => bound < inc + 1.0 - 1e-6,
+    };
+    // The engine's cutoff (minimization sense) for an incumbent: a whole
+    // unit below it when the objective is integral. The engine stops a
+    // node once its dual bound clears the cutoff by its 0.5 margin.
+    let cutoff = |obj: f64| {
+        let cut = if minimize { obj } else { -obj };
+        if integral {
+            cut - 1.0
         } else {
-            bound <= inc + 1e-9
+            cut
         }
     };
     // Returns true when an incumbent meets the proven objective floor.
@@ -205,12 +235,7 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
             .iter()
             .map(|&(v, c)| c * sol.values[v.index()])
             .sum();
-        let cut = if minimize {
-            sol.objective
-        } else {
-            -sol.objective
-        };
-        engine.set_cutoff(Some(cut));
+        engine.set_cutoff(Some(cutoff(sol.objective)));
         tally.warm_hit = true;
         tally.floor_stop = at_floor(sol.objective);
         incumbent = Some(sol);
@@ -258,12 +283,7 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
                                 // Arm the engine's mid-solve cutoff: node
                                 // re-solves whose dual bound cannot beat
                                 // this incumbent stop after a few pivots.
-                                let cut = if minimize {
-                                    rounded.objective
-                                } else {
-                                    -rounded.objective
-                                };
-                                engine.set_cutoff(Some(cut));
+                                engine.set_cutoff(Some(cutoff(rounded.objective)));
                                 tally.floor_stop = at_floor(rounded.objective);
                                 incumbent = Some(rounded);
                                 if tally.floor_stop {

@@ -10,7 +10,8 @@
 //! - **warm-started dual re-solves**: every node shares one engine, and a
 //!   child differs from its parent only in a variable bound, so node LPs
 //!   re-solve in a few dual pivots from the inherited basis,
-//! - incumbent tracking and best-bound pruning,
+//! - incumbent tracking and best-bound pruning, by whole units when the
+//!   objective is integral,
 //! - deterministic node *and pivot* budgets (wall-clock limits are opt-in
 //!   and flagged separately, keeping solver behaviour reproducible),
 //! - a caller-supplied **branching priority order** — the hook §3.3(3) of

@@ -18,6 +18,15 @@
 //! family and Beale's cycling LP (the Bland fallback), solves long enough
 //! to refactorize `B⁻¹` more than once, explicit objective cutoffs, and
 //! budgeted 0/1 ILPs with and without a warm-start incumbent.
+//!
+//! Branch and bound prunes by one of two rules, chosen per model, so the
+//! ILPs are digested twice. The first digest covers the engine and the
+//! rule for objectives with fractional coefficients: its ILPs draw
+//! fractional coefficients, so the search prunes a node only when its
+//! bound cannot beat the incumbent at all. The second digest runs the same
+//! ILP generator with every objective coefficient rounded to an integer,
+//! so the search prunes a node that cannot beat the incumbent by a whole
+//! unit and arms the engine's cutoff one unit below it.
 
 use swp_ilp::{solve_ilp, LpEngine, LpOutcome, Model, Sense, SolveOptions, Status, VarId};
 
@@ -203,8 +212,10 @@ fn beale(d: &mut Digest) {
 /// A budgeted 0/1 ILP shaped like the scheduling models: every item in
 /// exactly one of `t` slots, slot capacities, a knapsack side row, and an
 /// integer "issue time" per item tied to its slot. With `warm` the search
-/// starts from a feasible incumbent (armed cutoff from node one).
-fn ilp(d: &mut Digest, seed: u64, warm: bool) {
+/// starts from a feasible incumbent (armed cutoff from node one). With
+/// `integral` every objective coefficient is rounded to an integer after
+/// the same draws, so the objective is integral at every integral point.
+fn ilp(d: &mut Digest, seed: u64, warm: bool, integral: bool) {
     let mut g = Gen(seed);
     let items = 4 + g.below(9);
     let slots = 3 + g.below(3);
@@ -239,6 +250,11 @@ fn ilp(d: &mut Digest, seed: u64, warm: bool) {
     for row in &a {
         for &v in row {
             obj.push((v, g.range(-2.0, 2.0)));
+        }
+    }
+    if integral {
+        for (_, c) in &mut obj {
+            *c = c.round();
         }
     }
     m.set_objective(obj);
@@ -294,10 +310,23 @@ fn engine_outcomes_are_bit_identical_to_the_pinned_digest() {
     }
     beale(&mut d);
     for seed in 0..60 {
-        ilp(&mut d, 2_000 + seed, seed % 2 == 1);
+        ilp(&mut d, 2_000 + seed, seed % 2 == 1, false);
     }
     assert_eq!(
         d.0, 0x6928_e854_5980_2c1d,
         "the engine's pivots, counters or solution bits moved; this is a search change"
+    );
+}
+
+#[test]
+fn integral_objective_search_is_bit_identical_to_its_pinned_digest() {
+    let mut d = Digest(0);
+    for seed in 0..60 {
+        ilp(&mut d, 2_000 + seed, seed % 2 == 1, true);
+    }
+    assert_eq!(
+        d.0, 0x0b59_6515_4a09_3ab4,
+        "the whole-unit pruning rule's nodes, pivots or solution bits moved; \
+         this is a search change"
     );
 }

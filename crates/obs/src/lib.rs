@@ -22,11 +22,13 @@
 //! through the free functions without knowing who is listening.
 
 mod cancel;
+mod cpu;
 mod json;
 mod registry;
 mod trace;
 
 pub use cancel::CancelToken;
+pub use cpu::thread_cpu_time;
 pub use json::{parse as parse_json, Value as JsonValue, Writer as JsonWriter};
 pub use registry::{Class, Counter, Histo};
 pub use trace::{validate_chrome_trace, Span};
